@@ -4,20 +4,23 @@
 //! hands over observation parameters once, then issues `grid`/`degrid`
 //! calls against whichever back-end was selected. CPU back-ends execute
 //! and *measure*; GPU back-ends execute the device model and *model*
-//! their times (see DESIGN.md, substitutions).
+//! their times (see DESIGN.md, substitutions). Each direction has one
+//! CPU stage chain (shared with the streamed chunk passes and the
+//! `*_stages` views) and one device path.
 
-use crate::report::{ExecutionReport, FleetStats};
+use crate::report::ExecutionReport;
 use idg_fft::Direction;
+use idg_gpusim::kernels::{degridder_gpu, gridder_gpu};
 use idg_gpusim::{
-    BreakerConfig, Device, FaultConfig, FleetExecutor, GpuExecutor, JobFailure, RetryPolicy,
+    BreakerConfig, Device, FaultConfig, FleetExecutor, GpuExecutor, JobFailure, Pass, RetryPolicy,
 };
 use idg_kernels::{
     add_subgrids, degridder_cpu, degridder_reference, fft_subgrids, gridder_cpu, gridder_reference,
     split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
 };
 use idg_math::Accuracy;
-use idg_perf::{degridder_counts, gridder_counts};
-use idg_plan::Plan;
+use idg_perf::{degridder_counts, gridder_counts, OpCounts};
+use idg_plan::{Plan, WorkItem};
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Observation, Uvw, Visibility};
 use std::sync::Arc;
@@ -59,36 +62,12 @@ impl Backend {
             Backend::GpuFiji,
         ]
     }
-}
 
-/// Reject non-finite samples at the proxy boundary: a single NaN/Inf
-/// visibility silently poisons the entire grid (NaN propagates through
-/// every accumulation), so the error must be typed and early.
-fn check_finite_vis(visibilities: &[Visibility<f32>]) -> Result<(), IdgError> {
-    for (i, v) in visibilities.iter().enumerate() {
-        if v.pols
-            .iter()
-            .any(|p| !p.re.is_finite() || !p.im.is_finite())
-        {
-            return Err(IdgError::InvalidParameter(format!(
-                "visibility {i} is non-finite (NaN/Inf)"
-            )));
-        }
+    /// Whether passes run on the device model (modeled times) rather
+    /// than on measured CPU kernels.
+    pub(crate) fn modeled(self) -> bool {
+        matches!(self, Backend::GpuPascal | Backend::GpuFiji)
     }
-    Ok(())
-}
-
-/// Same boundary check for uvw coordinates: a NaN coordinate corrupts
-/// the plan's subgrid placement, not just one sample.
-fn check_finite_uvw(uvw: &[Uvw]) -> Result<(), IdgError> {
-    for (i, c) in uvw.iter().enumerate() {
-        if !c.u.is_finite() || !c.v.is_finite() || !c.w.is_finite() {
-            return Err(IdgError::InvalidParameter(format!(
-                "uvw coordinate {i} is non-finite (NaN/Inf)"
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Multi-device execution configuration for GPU back-ends.
@@ -215,7 +194,7 @@ impl Proxy {
         Plan::create(&self.obs, uvw)
     }
 
-    pub(crate) fn device(&self) -> Result<Device, IdgError> {
+    fn device(&self) -> Result<Device, IdgError> {
         match self.backend {
             Backend::GpuPascal => Ok(Device::pascal()),
             Backend::GpuFiji => Ok(Device::fiji()),
@@ -224,6 +203,177 @@ impl Proxy {
                 self.backend
             ))),
         }
+    }
+
+    /// The kernel inputs of one pass, checked at the proxy boundary —
+    /// the one validation every entry point runs. Shapes first, then
+    /// finiteness: a single NaN/Inf visibility silently poisons the
+    /// entire grid (NaN propagates through every accumulation), a NaN
+    /// coordinate corrupts the plan's subgrid placement, and a
+    /// non-finite model grid poisons every prediction — so the error
+    /// must be typed and early. A `grid` marks the degridding
+    /// direction, whose `visibilities` only supply the buffer shape.
+    pub(crate) fn checked_data<'a>(
+        &'a self,
+        uvw: &'a [Uvw],
+        visibilities: &'a [Visibility<f32>],
+        aterms: &'a ATerms,
+        grid: Option<&Grid<f32>>,
+    ) -> Result<KernelData<'a>, IdgError> {
+        let data = KernelData {
+            obs: &self.obs,
+            uvw,
+            visibilities,
+            aterms,
+            taper: &self.taper,
+        };
+        data.validate()?;
+        let non_finite = |c: &idg_types::Cf32| !c.re.is_finite() || !c.im.is_finite();
+        if grid.is_none() {
+            if let Some(i) = visibilities
+                .iter()
+                .position(|v| v.pols.iter().any(non_finite))
+            {
+                return Err(IdgError::InvalidParameter(format!(
+                    "visibility {i} is non-finite (NaN/Inf)"
+                )));
+            }
+        }
+        if let Some(i) = uvw
+            .iter()
+            .position(|c| !c.u.is_finite() || !c.v.is_finite() || !c.w.is_finite())
+        {
+            return Err(IdgError::InvalidParameter(format!(
+                "uvw coordinate {i} is non-finite (NaN/Inf)"
+            )));
+        }
+        if let Some(grid) = grid {
+            if grid.as_slice().iter().any(non_finite) {
+                return Err(IdgError::InvalidParameter(
+                    "model grid contains non-finite (NaN/Inf) samples".into(),
+                ));
+            }
+            if grid.size() != self.obs.grid_size {
+                return Err(IdgError::ShapeMismatch {
+                    what: "grid",
+                    expected: self.obs.grid_size,
+                    actual: grid.size(),
+                });
+            }
+        }
+        Ok(data)
+    }
+
+    /// The CPU stage chain of a gridding pass on this back-end's
+    /// kernels, up to the commit: gridder → subgrid FFT, each under a
+    /// wall span tagged `tag`. GPU back-ends only get here through
+    /// `grid_stages` (one launch of the device model's gridder).
+    /// `snapshots` receives a copy of the gridder's output. Returns the
+    /// subgrids and the measured `[gridder, fft]` seconds.
+    pub(crate) fn grid_chain(
+        &self,
+        data: &KernelData<'_>,
+        items: &[WorkItem],
+        tag: Option<u32>,
+        snapshots: Option<&mut Vec<SubgridArray>>,
+    ) -> Result<(SubgridArray, [f64; 2]), IdgError> {
+        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
+        let t0 = Instant::now();
+        {
+            let _span = idg_obs::wall_span("gridder", "stage", tag);
+            match self.backend {
+                Backend::CpuReference => gridder_reference(data, items, &mut subgrids)?,
+                Backend::CpuOptimized => {
+                    gridder_cpu(data, items, &mut subgrids, Accuracy::Medium, &self.cache)?;
+                }
+                Backend::GpuPascal | Backend::GpuFiji => {
+                    gridder_gpu(data, items, &mut subgrids, &self.device()?, &self.cache)?;
+                }
+            }
+        }
+        let t1 = Instant::now();
+        if let Some(snapshots) = snapshots {
+            snapshots.push(subgrids.clone());
+        }
+        {
+            let _span = idg_obs::wall_span("subgrid_fft", "stage", tag);
+            fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
+        }
+        let t2 = Instant::now();
+        Ok((subgrids, [(t1 - t0).as_secs_f64(), (t2 - t1).as_secs_f64()]))
+    }
+
+    /// The gridding commit: one adder call over every subgrid into a
+    /// fresh grid, in `items` order — so the f32 accumulation order is
+    /// that order. Returns the grid and the stage's wall seconds.
+    pub(crate) fn adder_stage(
+        &self,
+        items: &[WorkItem],
+        subgrids: &SubgridArray,
+    ) -> Result<(Grid<f32>, f64), IdgError> {
+        let t0 = Instant::now();
+        let mut grid = Grid::<f32>::new(self.obs.grid_size);
+        {
+            let _span = idg_obs::wall_span("adder", "stage", None);
+            add_subgrids(&mut grid, items, subgrids, &self.cache)?;
+        }
+        Ok((grid, t0.elapsed().as_secs_f64()))
+    }
+
+    /// The CPU stage chain of a degridding pass on this back-end's
+    /// kernels: splitter → inverse subgrid FFT → degridder, each under
+    /// a wall span tagged `tag` (GPU back-ends: `degrid_stages` only).
+    /// `snapshots` receives copies of the split and transformed
+    /// subgrids. Returns the predicted visibilities and the measured
+    /// `[degridder, fft, splitter]` seconds.
+    pub(crate) fn degrid_chain(
+        &self,
+        data: &KernelData<'_>,
+        items: &[WorkItem],
+        grid: &Grid<f32>,
+        tag: Option<u32>,
+        mut snapshots: Option<&mut Vec<SubgridArray>>,
+    ) -> Result<(Vec<Visibility<f32>>, [f64; 3]), IdgError> {
+        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
+        let t0 = Instant::now();
+        {
+            let _span = idg_obs::wall_span("splitter", "stage", tag);
+            split_subgrids(grid, items, &mut subgrids, &self.cache)?;
+        }
+        let t1 = Instant::now();
+        if let Some(snapshots) = snapshots.as_deref_mut() {
+            snapshots.push(subgrids.clone());
+        }
+        {
+            let _span = idg_obs::wall_span("subgrid_ifft", "stage", tag);
+            fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
+        }
+        let t2 = Instant::now();
+        if let Some(snapshots) = snapshots {
+            snapshots.push(subgrids.clone());
+        }
+        let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
+        {
+            let _span = idg_obs::wall_span("degridder", "stage", tag);
+            match self.backend {
+                Backend::CpuReference => degridder_reference(data, items, &subgrids, &mut vis)?,
+                Backend::CpuOptimized => degridder_cpu(
+                    data,
+                    items,
+                    &subgrids,
+                    &mut vis,
+                    Accuracy::Medium,
+                    &self.cache,
+                )?,
+                Backend::GpuPascal | Backend::GpuFiji => {
+                    let device = self.device()?;
+                    degridder_gpu(data, items, &subgrids, &mut vis, &device, &self.cache)?;
+                }
+            }
+        }
+        let t3 = Instant::now();
+        let secs = |a: Instant, b: Instant| (b - a).as_secs_f64();
+        Ok((vis, [secs(t2, t3), secs(t1, t2), secs(t0, t1)]))
     }
 
     fn executor(&self) -> Result<GpuExecutor, IdgError> {
@@ -263,69 +413,67 @@ impl Proxy {
         Ok(fleet)
     }
 
-    /// Whether the fleet path can perturb measured counters: any fault
-    /// schedule on any member makes retries/degradation possible.
-    fn fleet_has_faults(&self) -> bool {
-        self.fleet
-            .as_ref()
-            .is_some_and(|c| !c.member_faults.is_empty())
+    /// The device path of either direction: run `pass` on the fleet
+    /// when one is configured, else on one device, then hand the
+    /// persistently failed jobs to [`Proxy::cpu_fallback`].
+    pub(crate) fn device_pass(
+        &self,
+        data: &KernelData<'_>,
+        plan: &Plan,
+        pass: &mut Pass<'_>,
+    ) -> Result<ExecutionReport, IdgError> {
+        let run = match &self.fleet {
+            Some(config) => self.fleet_executor(config)?.run(data, plan, pass)?,
+            None => self.executor()?.run(data, plan, pass)?,
+        };
+        self.cpu_fallback(data, plan, pass, &run.failed_jobs)?;
+        let nr_devices = self.fleet.as_ref().map(|c| c.nr_devices);
+        Ok(ExecutionReport::from_run(self.backend, run, nr_devices))
     }
 
     /// Graceful degradation after a device pass: re-execute the
-    /// persistently failed jobs' work items on the CPU reference
-    /// kernels and merge their subgrids into `grid`. Errors with the
-    /// first failure's classified error when the fallback is disabled.
-    fn fallback_grid(
+    /// persistently failed jobs on the CPU reference kernels into the
+    /// pass's own commit target — after the device's commits, so a
+    /// deferred pass's fallback output joins the same single in-order
+    /// commit. Errors with the first failure's classified error when
+    /// the fallback is disabled.
+    fn cpu_fallback(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-        grid: &mut Grid<f32>,
+        pass: &mut Pass<'_>,
         failed_jobs: &[JobFailure],
-    ) -> Result<Vec<JobFailure>, IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
+    ) -> Result<(), IdgError> {
+        if let Some(failure) = failed_jobs.first().filter(|_| !self.cpu_fallback) {
+            return Err(failure.error.clone());
         }
         idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
-        for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", Some(failure.job as u32));
-            let items = &plan.items[failure.first_item..failure.first_item + failure.nr_items];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
+        let n = self.obs.subgrid_size;
+        let reference_subgrids = |items: &[WorkItem]| -> Result<SubgridArray, IdgError> {
+            let mut subgrids = SubgridArray::new(items.len(), n);
             gridder_reference(data, items, &mut subgrids)?;
             fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-            add_subgrids(grid, items, &subgrids, &self.cache)?;
-        }
-        Ok(failed_jobs.to_vec())
-    }
-
-    /// Degridding counterpart of [`Proxy::fallback_grid`]: predict the
-    /// failed jobs' visibilities with the CPU reference kernels.
-    fn fallback_degrid(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        grid: &Grid<f32>,
-        vis: &mut [Visibility<f32>],
-        failed_jobs: &[JobFailure],
-    ) -> Result<Vec<JobFailure>, IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
-        }
-        idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
+            Ok(subgrids)
+        };
         for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", Some(failure.job as u32));
-            let items = &plan.items[failure.first_item..failure.first_item + failure.nr_items];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-            split_subgrids(grid, items, &mut subgrids, &self.cache)?;
-            fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-            degridder_reference(data, items, &subgrids, vis)?;
+            let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
+            let range = failure.first_item..failure.first_item + failure.nr_items;
+            let items = &plan.items[range.clone()];
+            match pass {
+                Pass::Grid(grid) => {
+                    add_subgrids(grid, items, &reference_subgrids(items)?, &self.cache)?;
+                }
+                Pass::GridDeferred(pending) => pending.push((range, reference_subgrids(items)?)),
+                Pass::Degrid(grid, out) => {
+                    let mut subgrids = SubgridArray::new(items.len(), n);
+                    split_subgrids(grid, items, &mut subgrids, &self.cache)?;
+                    fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
+                    degridder_reference(data, items, &subgrids, &mut out.vis)?;
+                    out.ranges.push(range);
+                }
+            }
         }
-        Ok(failed_jobs.to_vec())
+        Ok(())
     }
 
     /// Grid visibilities onto a new grid.
@@ -336,134 +484,44 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
-        check_finite_vis(visibilities)?;
-        check_finite_uvw(uvw)?;
-
-        match self.backend {
-            Backend::CpuReference | Backend::CpuOptimized => {
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.obs.subgrid_size);
-                let t0 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("gridder", "stage", None);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            gridder_reference(&data, &plan.items, &mut subgrids)?;
-                        }
-                        _ => gridder_cpu(
-                            &data,
-                            &plan.items,
-                            &mut subgrids,
-                            Accuracy::Medium,
-                            &self.cache,
-                        )?,
-                    }
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_fft", "stage", None);
-                    fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                }
-                let t2 = Instant::now();
-                let mut grid = Grid::<f32>::new(self.obs.grid_size);
-                {
-                    let _span = idg_obs::wall_span("adder", "stage", None);
-                    add_subgrids(&mut grid, &plan.items, &subgrids, &self.cache)?;
-                }
-                let t3 = Instant::now();
-
-                let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
-                Ok((
-                    grid,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "gridding",
-                        modeled: false,
-                        kernel_seconds: (t1 - t0).as_secs_f64(),
-                        fft_seconds: (t2 - t1).as_secs_f64(),
-                        adder_seconds: (t3 - t2).as_secs_f64(),
-                        transfer_seconds: 0.0,
-                        total_seconds: (t3 - t0).as_secs_f64(),
-                        counts,
-                        device_energy_j: None,
-                        host_energy_j: None,
-                        nr_retries: 0,
-                        backoff_seconds: 0.0,
-                        fallback_jobs: Vec::new(),
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
-                ))
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(config) = self.fleet.clone() {
-                    let (mut grid, report) = self.fleet_executor(&config)?.grid(&data, plan)?;
-                    let fallback_jobs =
-                        self.fallback_grid(&data, plan, &mut grid, &report.failed_jobs)?;
-                    return Ok((
-                        grid,
-                        ExecutionReport {
-                            backend: self.backend.label().into(),
-                            pass: "gridding",
-                            modeled: true,
-                            kernel_seconds: report.kernel_seconds,
-                            fft_seconds: report.fft_seconds,
-                            adder_seconds: report.adder_seconds,
-                            transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                            total_seconds: report.makespan,
-                            counts: report.counts,
-                            device_energy_j: Some(report.device_energy_j),
-                            host_energy_j: Some(report.host_energy_j),
-                            nr_retries: report.nr_retries,
-                            backoff_seconds: report.backoff_seconds,
-                            fallback_jobs,
-                            fleet: Some(FleetStats {
-                                nr_devices: config.nr_devices,
-                                redispatched_jobs: report.redispatched_jobs,
-                                degradation_steps: report.degradation_steps,
-                                breaker_trips: report.breaker_trips,
-                                per_device: report.per_device,
-                            }),
-                            metrics: None,
-                            stream: None,
-                        },
-                    ));
-                }
-                let (mut grid, report) = self.executor()?.grid(&data, plan)?;
-                let fallback_jobs =
-                    self.fallback_grid(&data, plan, &mut grid, &report.failed_jobs)?;
-                Ok((
-                    grid,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "gridding",
-                        modeled: true,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        adder_seconds: report.adder_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        total_seconds: report.makespan,
-                        counts: report.counts,
-                        device_energy_j: Some(report.device_energy_j),
-                        host_energy_j: Some(report.host_energy_j),
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        fallback_jobs,
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
-                ))
-            }
+        let data = self.checked_data(uvw, visibilities, aterms, None)?;
+        if self.backend.modeled() {
+            let mut grid = Grid::<f32>::new(self.obs.grid_size);
+            let report = self.device_pass(&data, plan, &mut Pass::Grid(&mut grid))?;
+            return Ok((grid, report));
         }
+        let (subgrids, [t_kernel, t_fft]) = self.grid_chain(&data, &plan.items, None, None)?;
+        let (grid, t_add) = self.adder_stage(&plan.items, &subgrids)?;
+        let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
+        let report =
+            ExecutionReport::new(self.backend, "gridding", counts, [t_kernel, t_fft, t_add]);
+        Ok((grid, report))
+    }
+
+    /// Predict visibilities from a model grid.
+    ///
+    /// The predicted buffer covers the whole observation; slots no work
+    /// item covers stay zero.
+    pub fn degrid(
+        &self,
+        plan: &Plan,
+        grid: &Grid<f32>,
+        uvw: &[Uvw],
+        aterms: &ATerms,
+    ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
+        let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
+        let data = self.checked_data(uvw, &zeros, aterms, Some(grid))?;
+        if self.backend.modeled() {
+            let mut out = Default::default();
+            let report = self.device_pass(&data, plan, &mut Pass::Degrid(grid, &mut out))?;
+            return Ok((out.vis, report));
+        }
+        let (vis, times) = self.degrid_chain(&data, &plan.items, grid, None, None)?;
+        let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
+        Ok((
+            vis,
+            ExecutionReport::new(self.backend, "degridding", counts, times),
+        ))
     }
 
     /// Run [`Proxy::grid`] under an observability session.
@@ -484,13 +542,11 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("gridding");
-        let result = self.grid(plan, uvw, visibilities, aterms);
-        let trace = session.finish();
-        let (grid, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_measured(&report, plan)?;
-        Ok((grid, report, trace))
+        self.observed(
+            "gridding",
+            || self.grid(plan, uvw, visibilities, aterms),
+            || Ok(self.one_shot_expectations(plan, true)),
+        )
     }
 
     /// Run [`Proxy::degrid`] under an observability session (see
@@ -502,26 +558,59 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("degridding");
-        let result = self.degrid(plan, grid, uvw, aterms);
-        let trace = session.finish();
-        let (vis, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_measured(&report, plan)?;
-        Ok((vis, report, trace))
+        self.observed(
+            "degridding",
+            || self.degrid(plan, grid, uvw, aterms),
+            || Ok(self.one_shot_expectations(plan, false)),
+        )
     }
 
-    /// Cross-validate an observed pass's measured counters against the
-    /// analytic model — exact integer equality, field by field. Skipped
+    /// What an observed one-shot pass must measure: the analytic
+    /// counts, one kernel invocation per work item, and the kernel-cache
+    /// lookups — once per pass on the reference path (the
+    /// adder/splitter phasor tables), twice on the optimized CPU path
+    /// (geometry planes + phasor tables) and twice per work group on
+    /// the GPU path (each job's compute and commit look up
+    /// independently).
+    fn one_shot_expectations(&self, plan: &Plan, gridding: bool) -> (OpCounts, u64, u64) {
+        let counts = match gridding {
+            true => gridder_counts(&plan.items, self.obs.subgrid_size),
+            false => degridder_counts(&plan.items, self.obs.subgrid_size),
+        };
+        let lookups = match self.backend {
+            Backend::CpuReference => 1,
+            Backend::CpuOptimized => 2,
+            Backend::GpuPascal | Backend::GpuFiji => {
+                2 * plan.work_groups(self.work_group_size).count() as u64
+            }
+        };
+        (counts, plan.items.len() as u64, lookups)
+    }
+
+    /// Run one pass under an observability session, attach its metrics
+    /// to the report, and cross-validate them against `expected` —
+    /// `(analytic counts, kernel invocations, cache lookups)` — with
+    /// exact integer equality, field by field. Validation is skipped
     /// for runs where kernels legitimately execute more than once per
-    /// work item: retries and CPU fallbacks re-run them, and fault
-    /// injection may re-run the compute phase for checksum staging.
-    fn validate_measured(&self, report: &ExecutionReport, plan: &Plan) -> Result<(), IdgError> {
-        // Fleet runs self-validate too, but only when nothing perturbed
-        // the per-job kernel/cache cadence: member faults, breaker
-        // re-dispatches and degraded (chunked) jobs all change how often
-        // kernels and cache lookups run per work item.
-        let fleet_perturbed = self.fleet_has_faults()
+    /// work item: retries and CPU fallbacks re-run them, fault
+    /// injection may re-run the compute phase for checksum staging,
+    /// and fleet re-dispatches, breaker trips and degraded (chunked)
+    /// jobs change how often kernels and cache lookups run.
+    pub(crate) fn observed<T>(
+        &self,
+        pass: &'static str,
+        run: impl FnOnce() -> Result<(T, ExecutionReport), IdgError>,
+        expected: impl FnOnce() -> Result<(OpCounts, u64, u64), IdgError>,
+    ) -> Result<(T, ExecutionReport, idg_obs::Trace), IdgError> {
+        let session = idg_obs::Session::begin(pass);
+        let result = run();
+        let trace = session.finish();
+        let (out, mut report) = result?;
+        report.metrics = Some(trace.metrics.clone());
+        let fleet_perturbed = self
+            .fleet
+            .as_ref()
+            .is_some_and(|c| !c.member_faults.is_empty())
             || report.fleet.as_ref().is_some_and(|f| {
                 f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
             });
@@ -530,217 +619,34 @@ impl Proxy {
             || !report.fallback_jobs.is_empty()
             || fleet_perturbed
         {
-            return Ok(());
+            return Ok((out, report, trace));
         }
-        let Some(metrics) = &report.metrics else {
-            return Ok(());
+        let (analytic, nr_items, expected_lookups) = expected()?;
+        let what = match report.stream {
+            Some(_) => format!("streamed {}", report.pass),
+            None => report.pass.to_string(),
         };
-        let analytic = match report.pass {
-            "gridding" => gridder_counts(&plan.items, self.obs.subgrid_size),
-            _ => degridder_counts(&plan.items, self.obs.subgrid_size),
-        };
-        let k = metrics.pass_kernel();
+        let k = trace.metrics.pass_kernel();
+        let lookups = trace.metrics.cache_hits + trace.metrics.cache_misses;
         let checks = [
             ("visibilities", k.visibilities, analytic.visibilities),
             ("sincos_pairs", k.sincos_pairs, analytic.sincos_pairs),
             ("fmas", k.fmas, analytic.fmas),
             ("dram_bytes", k.dram_bytes, analytic.dram_bytes),
             ("shared_bytes", k.shared_bytes, analytic.shared_bytes),
-            ("invocations", k.invocations, plan.items.len() as u64),
+            ("invocations", k.invocations, nr_items),
         ];
-        for (name, measured, predicted) in checks {
+        let checks = checks.map(|(name, m, p)| (name, m, p, "analytic"));
+        let cache = ("cache lookups", lookups, expected_lookups, "expected");
+        for (name, measured, predicted, basis) in checks.into_iter().chain([cache]) {
             if measured != predicted {
                 return Err(IdgError::Internal(format!(
-                    "observability self-validation failed: {} {name} measured {measured} \
-                     != analytic {predicted}",
-                    report.pass
+                    "observability self-validation failed: {what} {name} measured {measured} \
+                     != {basis} {predicted}"
                 )));
             }
         }
-        // Kernel-cache lookups are as deterministic as the op counts:
-        // the reference path consults the cache once per pass (the
-        // adder/splitter phasor tables), the optimized CPU path twice
-        // (geometry planes + phasor tables) and the GPU path twice per
-        // work group (each job's compute and commit phases look up
-        // independently).
-        let lookups = metrics.cache_hits + metrics.cache_misses;
-        let expected_lookups = match self.backend {
-            Backend::CpuReference => 1,
-            Backend::CpuOptimized => 2,
-            Backend::GpuPascal | Backend::GpuFiji => {
-                2 * plan.work_groups(self.work_group_size).count() as u64
-            }
-        };
-        if lookups != expected_lookups {
-            return Err(IdgError::Internal(format!(
-                "observability self-validation failed: {} cache lookups measured {lookups} \
-                 != expected {expected_lookups}",
-                report.pass
-            )));
-        }
-        Ok(())
-    }
-
-    /// Predict visibilities from a model grid.
-    ///
-    /// The `visibilities` input only supplies the buffer shape (the
-    /// degridder overwrites covered slots); pass the observed data or a
-    /// zero buffer.
-    pub fn degrid(
-        &self,
-        plan: &Plan,
-        grid: &Grid<f32>,
-        uvw: &[Uvw],
-        aterms: &ATerms,
-    ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
-        let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities: &zeros,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
-        check_finite_uvw(uvw)?;
-        if grid
-            .as_slice()
-            .iter()
-            .any(|c| !c.re.is_finite() || !c.im.is_finite())
-        {
-            return Err(IdgError::InvalidParameter(
-                "model grid contains non-finite (NaN/Inf) samples".into(),
-            ));
-        }
-        if grid.size() != self.obs.grid_size {
-            return Err(IdgError::ShapeMismatch {
-                what: "grid",
-                expected: self.obs.grid_size,
-                actual: grid.size(),
-            });
-        }
-
-        match self.backend {
-            Backend::CpuReference | Backend::CpuOptimized => {
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.obs.subgrid_size);
-                let t0 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("splitter", "stage", None);
-                    split_subgrids(grid, &plan.items, &mut subgrids, &self.cache)?;
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_ifft", "stage", None);
-                    fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                }
-                let t2 = Instant::now();
-                let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-                {
-                    let _span = idg_obs::wall_span("degridder", "stage", None);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            degridder_reference(&data, &plan.items, &subgrids, &mut vis)?;
-                        }
-                        _ => {
-                            degridder_cpu(
-                                &data,
-                                &plan.items,
-                                &subgrids,
-                                &mut vis,
-                                Accuracy::Medium,
-                                &self.cache,
-                            )?;
-                        }
-                    }
-                }
-                let t3 = Instant::now();
-
-                let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
-                Ok((
-                    vis,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "degridding",
-                        modeled: false,
-                        kernel_seconds: (t3 - t2).as_secs_f64(),
-                        fft_seconds: (t2 - t1).as_secs_f64(),
-                        adder_seconds: (t1 - t0).as_secs_f64(),
-                        transfer_seconds: 0.0,
-                        total_seconds: (t3 - t0).as_secs_f64(),
-                        counts,
-                        device_energy_j: None,
-                        host_energy_j: None,
-                        nr_retries: 0,
-                        backoff_seconds: 0.0,
-                        fallback_jobs: Vec::new(),
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
-                ))
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(config) = self.fleet.clone() {
-                    let (mut vis, report) =
-                        self.fleet_executor(&config)?.degrid(&data, plan, grid)?;
-                    let fallback_jobs =
-                        self.fallback_degrid(&data, plan, grid, &mut vis, &report.failed_jobs)?;
-                    return Ok((
-                        vis,
-                        ExecutionReport {
-                            backend: self.backend.label().into(),
-                            pass: "degridding",
-                            modeled: true,
-                            kernel_seconds: report.kernel_seconds,
-                            fft_seconds: report.fft_seconds,
-                            adder_seconds: report.adder_seconds,
-                            transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                            total_seconds: report.makespan,
-                            counts: report.counts,
-                            device_energy_j: Some(report.device_energy_j),
-                            host_energy_j: Some(report.host_energy_j),
-                            nr_retries: report.nr_retries,
-                            backoff_seconds: report.backoff_seconds,
-                            fallback_jobs,
-                            fleet: Some(FleetStats {
-                                nr_devices: config.nr_devices,
-                                redispatched_jobs: report.redispatched_jobs,
-                                degradation_steps: report.degradation_steps,
-                                breaker_trips: report.breaker_trips,
-                                per_device: report.per_device,
-                            }),
-                            metrics: None,
-                            stream: None,
-                        },
-                    ));
-                }
-                let (mut vis, report) = self.executor()?.degrid(&data, plan, grid)?;
-                let fallback_jobs =
-                    self.fallback_degrid(&data, plan, grid, &mut vis, &report.failed_jobs)?;
-                Ok((
-                    vis,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "degridding",
-                        modeled: true,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        adder_seconds: report.adder_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        total_seconds: report.makespan,
-                        counts: report.counts,
-                        device_energy_j: Some(report.device_energy_j),
-                        host_energy_j: Some(report.host_energy_j),
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        fallback_jobs,
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
-                ))
-            }
-        }
+        Ok((out, report, trace))
     }
 }
 
@@ -1014,7 +920,7 @@ mod tests {
     fn observed_runs_self_validate_on_every_backend() {
         // The acceptance contract of the observability layer: an
         // instrumented pass yields measured counters exactly equal to
-        // the analytic perf model (validate_measured errors otherwise),
+        // the analytic perf model (Proxy::observed errors otherwise),
         // and the Chrome export is valid JSON.
         let ds = dataset();
         for backend in Backend::all() {
@@ -1201,7 +1107,7 @@ mod tests {
     #[test]
     fn observed_clean_fleet_runs_self_validate() {
         // A fault-free fleet keeps the per-job kernel/cache cadence of
-        // the single-device path, so validate_measured stays armed.
+        // the single-device path, so the self-validation stays armed.
         let ds = dataset();
         let mut proxy = Proxy::new(Backend::GpuPascal, ds.obs.clone()).unwrap();
         proxy.work_group_size = 4;

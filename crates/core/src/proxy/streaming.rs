@@ -1,4 +1,5 @@
-//! Streamed gridding: chunked ingestion driving the batch pipeline.
+//! Streamed passes: chunked ingestion driving the batch pipeline, in
+//! both directions.
 //!
 //! [`Proxy::grid_streamed`] consumes the observation as a sequence of
 //! bounded time-axis chunks (split by `idg_stream`), plans and executes
@@ -23,29 +24,23 @@
 //!    per-chunk grids instead would reorder additions (f32 addition is
 //!    not associative, and `0.0 + (-0.0)` even flips a sign bit).
 //!
-//! [`Proxy::degrid_streamed`] is the duplex twin: a deferred
-//! **splitter** stage (`split_deferred` on the executors) extracts
-//! each chunk's subgrids from the model grid, the chunk-local degrid
-//! passes flow through the same scheduler, and each chunk's predicted
-//! visibilities are committed into the caller's buffer exactly once —
-//! guarded by a [`CommitLedger`] — in one-shot plan order. Because the
-//! degridder *overwrites* disjoint per-item visibility slots (no
-//! accumulation anywhere on the read side), the plain in-order copies
-//! reproduce [`Proxy::degrid`] bit for bit on every back-end, policy,
-//! worker count and fault schedule; see DESIGN.md §12 for the
-//! commit-order argument.
+//! [`Proxy::degrid_streamed`] is the duplex twin: each chunk's deferred
+//! degrid pass splits its subgrids out of the model grid and predicts
+//! a chunk-local visibility buffer, and each chunk's visibilities are
+//! committed into the caller's buffer exactly once — guarded by a
+//! [`CommitLedger`] — in one-shot plan order. Because the degridder
+//! *overwrites* disjoint per-item visibility slots (no accumulation
+//! anywhere on the read side), the plain in-order copies reproduce
+//! [`Proxy::degrid`] bit for bit on every back-end, policy, worker
+//! count and fault schedule; see DESIGN.md §12 for the commit-order
+//! argument.
 
-use super::{check_finite_uvw, check_finite_vis, Backend, Proxy};
-use crate::report::{ExecutionReport, FleetStats};
-use idg_fft::Direction;
-use idg_gpusim::{DeferredSubgrids, DeferredVis, JobFailure};
-use idg_kernels::{
-    add_subgrids, degridder_cpu, degridder_reference, fft_subgrids, gridder_cpu, gridder_reference,
-    split_subgrids, FftNorm, KernelData, SubgridArray,
-};
-use idg_math::Accuracy;
+use super::{Backend, Proxy};
+use crate::report::ExecutionReport;
+use idg_gpusim::{DeferredSubgrids, DeferredVis, Pass, HOST_ADDER_BW};
+use idg_kernels::{KernelData, SubgridArray};
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
-use idg_plan::{Plan, UvExtents, WorkItem};
+use idg_plan::{UvExtents, WorkItem};
 use idg_stream::{
     plan_chunk, Chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
     StreamScheduler,
@@ -53,11 +48,6 @@ use idg_stream::{
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Uvw, Visibility};
 use std::time::Instant;
-
-/// Modeled host bandwidth of the final streamed commit — the figure
-/// the gpusim host-adder shape uses, so modeled streamed totals stay
-/// comparable to one-shot modeled totals.
-const HOST_ADDER_BW: f64 = 40e9;
 
 /// Configuration of a streamed gridding pass.
 #[derive(Copy, Clone, Debug)]
@@ -92,29 +82,61 @@ impl StreamConfig {
     }
 }
 
+/// A chunk's output awaiting the final commit: subgrids for the adder
+/// (gridding) or predicted visibilities for the copy-out (degridding).
+enum Deferred {
+    Subgrids(DeferredSubgrids),
+    Vis(DeferredVis),
+}
+
 /// Everything one chunk's pass produced, pending the final commit.
 struct ChunkOutput {
     /// The chunk-local plan's work items (global time offsets).
     items: Vec<WorkItem>,
-    /// Computed subgrids as ranges into `items` (job granularity on the
-    /// GPU paths, one whole-chunk range on the CPU paths).
-    pending: DeferredSubgrids,
-    /// Jobs re-executed on the CPU reference kernels, with chunk-local
-    /// indices (remapped to stream-global ones during aggregation).
-    fallback_jobs: Vec<JobFailure>,
-    counts: OpCounts,
-    kernel_seconds: f64,
-    fft_seconds: f64,
-    transfer_seconds: f64,
-    /// Modeled end-to-end chunk time (GPU) or measured wall (CPU).
-    makespan: f64,
-    device_energy_j: f64,
-    host_energy_j: f64,
-    nr_retries: usize,
-    backoff_seconds: f64,
-    redispatched_jobs: usize,
-    degradation_steps: usize,
-    breaker_trips: u64,
+    /// Computed output, with ranges into `items` (job granularity on
+    /// the GPU paths, one whole-chunk range on the CPU paths; CPU
+    /// fallback ranges follow the device's).
+    deferred: Deferred,
+    /// The chunk's accounting: measured wall times (CPU) or the modeled
+    /// device pass (GPU), whose fallback jobs carry chunk-local indices.
+    report: ExecutionReport,
+}
+
+/// One committed work item: the item, the chunk whose output holds it,
+/// and where — which subgrid array and plane (gridding only).
+struct CommitSlot {
+    item: WorkItem,
+    src: usize,
+    array: usize,
+    plane: usize,
+}
+
+/// A drained stream: every chunk's output, the commit slots in one-shot
+/// plan order, and the aggregate report still missing its commit.
+struct Drained {
+    outputs: Vec<ChunkOutput>,
+    slots: Vec<CommitSlot>,
+    report: ExecutionReport,
+    makespans: Vec<f64>,
+    t_start: Instant,
+}
+
+impl Drained {
+    /// Charge the final commit to the report: the host commit model on
+    /// modeled back-ends, whose total is the modeled stream makespan
+    /// plus that commit; the measured commit and the stream's wall time
+    /// otherwise.
+    fn close(&mut self, config: &StreamConfig, commit_model: f64, commit_seconds: f64) {
+        let report = &mut self.report;
+        if report.modeled {
+            report.adder_seconds += commit_model;
+            let lanes = config.workers.min(config.max_inflight);
+            report.total_seconds = stream_makespan(&self.makespans, lanes) + commit_model;
+        } else {
+            report.adder_seconds += commit_seconds;
+            report.total_seconds = self.t_start.elapsed().as_secs_f64();
+        }
+    }
 }
 
 /// Deterministic makespan model of the concurrent chunk passes: greedy
@@ -136,53 +158,6 @@ fn stream_makespan(chunk_makespans: &[f64], lanes: usize) -> f64 {
     lane_busy.iter().fold(0.0f64, |a, &b| a.max(b))
 }
 
-/// One committed subgrid: its work item, and where its pixels live in
-/// the per-chunk pending arrays.
-struct CommitSlot {
-    item: WorkItem,
-    src: usize,
-    plane: usize,
-}
-
-/// Everything one chunk's degrid pass produced, pending the final
-/// exactly-once visibility commit.
-struct DegridChunkOutput {
-    /// The chunk-local plan's work items (global time offsets).
-    items: Vec<WorkItem>,
-    /// Completed `items` ranges in job order (one whole-chunk range on
-    /// the CPU paths); CPU-fallback ranges are appended after.
-    ranges: Vec<std::ops::Range<usize>>,
-    /// Chunk-local predicted visibilities (full observation extent,
-    /// zeros outside the covered slots — slots are globally indexed).
-    vis: Vec<Visibility<f32>>,
-    /// Jobs re-executed on the CPU reference kernels, with chunk-local
-    /// indices (remapped to stream-global ones during aggregation).
-    fallback_jobs: Vec<JobFailure>,
-    counts: OpCounts,
-    kernel_seconds: f64,
-    fft_seconds: f64,
-    /// Splitter time: measured wall (CPU) or modeled device time (GPU).
-    splitter_seconds: f64,
-    transfer_seconds: f64,
-    /// Modeled end-to-end chunk time (GPU) or measured wall (CPU).
-    makespan: f64,
-    device_energy_j: f64,
-    host_energy_j: f64,
-    nr_retries: usize,
-    backoff_seconds: f64,
-    redispatched_jobs: usize,
-    degradation_steps: usize,
-    breaker_trips: u64,
-}
-
-/// One committed work item of a streamed degrid pass: the item whose
-/// visibility rows are copied, and which chunk's local buffer holds
-/// them.
-struct DegridCommitSlot {
-    item: WorkItem,
-    src: usize,
-}
-
 impl Proxy {
     /// Grid visibilities through the streaming front-end: chunked
     /// ingestion, a concurrent bounded-window pass scheduler, and a
@@ -199,157 +174,25 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
-        check_finite_vis(visibilities)?;
-        check_finite_uvw(uvw)?;
-        config.validate()?;
-        let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
-        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
-        let extents = UvExtents::compute(&self.obs, uvw)?;
+        let data = self.checked_data(uvw, visibilities, aterms, None)?;
+        let mut drained = self.drain_stream(config, &data, None)?;
 
-        let t_start = Instant::now();
-        let StreamRun { results, stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
-            self.run_chunk(&data, &extents, chunk)
-        })?;
-        let mut outputs = Vec::with_capacity(results.len());
-        for result in results {
-            outputs.push(result?);
-        }
-
-        // aggregate: gather every pending subgrid behind a commit slot,
-        // remap fallback indices to stream-global ones, sum the timing
-        let mut arrays: Vec<SubgridArray> = Vec::new();
-        let mut slots: Vec<CommitSlot> = Vec::new();
-        let mut fallback_jobs: Vec<JobFailure> = Vec::new();
-        let mut counts = OpCounts::default();
-        let (mut kernel_seconds, mut fft_seconds, mut transfer_seconds) = (0.0, 0.0, 0.0);
-        let (mut device_energy, mut host_energy, mut backoff_seconds) = (0.0, 0.0, 0.0);
-        let mut nr_retries = 0usize;
-        let (mut redispatched, mut degradation, mut trips) = (0usize, 0usize, 0u64);
-        let mut makespans = Vec::with_capacity(outputs.len());
-        let mut item_base = 0usize;
-        let mut job_base = 0usize;
-        for out in outputs {
-            for (range, subgrids) in out.pending {
-                let src = arrays.len();
-                for (plane, idx) in range.enumerate() {
-                    slots.push(CommitSlot {
-                        item: out.items[idx],
-                        src,
-                        plane,
-                    });
-                }
-                arrays.push(subgrids);
-            }
-            for mut failure in out.fallback_jobs {
-                failure.job += job_base;
-                failure.first_item += item_base;
-                fallback_jobs.push(failure);
-            }
-            counts.add(&out.counts);
-            kernel_seconds += out.kernel_seconds;
-            fft_seconds += out.fft_seconds;
-            transfer_seconds += out.transfer_seconds;
-            device_energy += out.device_energy_j;
-            host_energy += out.host_energy_j;
-            nr_retries += out.nr_retries;
-            backoff_seconds += out.backoff_seconds;
-            redispatched += out.redispatched_jobs;
-            degradation += out.degradation_steps;
-            trips += out.breaker_trips;
-            makespans.push(out.makespan);
-            item_base += out.items.len();
-            job_base += out.items.len().div_ceil(self.work_group_size);
-        }
-        if slots.len() != item_base {
-            return Err(IdgError::Internal(format!(
-                "streamed commit covers {} of {} work items",
-                slots.len(),
-                item_base
-            )));
-        }
-
-        // the single in-order commit: sorting by (baseline, channel
-        // group, time) recovers exactly the one-shot plan's item order
-        slots.sort_by_key(|s| {
-            (
-                s.item.baseline_index,
-                s.item.channel_offset,
-                s.item.time_offset,
-            )
-        });
+        // the single in-order commit: gather every subgrid in one-shot
+        // plan order, then one adder call
         let n = self.obs.subgrid_size;
-        let mut combined = SubgridArray::new(slots.len(), n);
-        let mut items: Vec<WorkItem> = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.iter().enumerate() {
-            combined
-                .subgrid_mut(i)
-                .copy_from_slice(arrays[slot.src].subgrid(slot.plane));
+        let mut combined = SubgridArray::new(drained.slots.len(), n);
+        let mut items: Vec<WorkItem> = Vec::with_capacity(drained.slots.len());
+        for (i, slot) in drained.slots.iter().enumerate() {
+            if let Deferred::Subgrids(pending) = &drained.outputs[slot.src].deferred {
+                let src = pending[slot.array].1.subgrid(slot.plane);
+                combined.subgrid_mut(i).copy_from_slice(src);
+            }
             items.push(slot.item);
         }
-        let mut grid = Grid::<f32>::new(self.obs.grid_size);
-        let t_commit = Instant::now();
-        {
-            let _span = idg_obs::wall_span("adder", "stage", None);
-            add_subgrids(&mut grid, &items, &combined, &self.cache)?;
-        }
-        let commit_seconds = t_commit.elapsed().as_secs_f64();
-
-        let modeled = matches!(self.backend, Backend::GpuPascal | Backend::GpuFiji);
-        let adder_seconds = if modeled {
-            (slots.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW
-        } else {
-            commit_seconds
-        };
-        let total_seconds = if modeled {
-            stream_makespan(&makespans, config.workers.min(config.max_inflight)) + adder_seconds
-        } else {
-            t_start.elapsed().as_secs_f64()
-        };
-        // per-chunk device breakdowns are not aggregated across the
-        // stream (each chunk ran its own fleet pass); only the scalar
-        // fault-tolerance counters are summed
-        let fleet = if modeled {
-            self.fleet.as_ref().map(|c| FleetStats {
-                nr_devices: c.nr_devices,
-                redispatched_jobs: redispatched,
-                degradation_steps: degradation,
-                breaker_trips: trips,
-                per_device: Vec::new(),
-            })
-        } else {
-            None
-        };
-
-        Ok((
-            grid,
-            ExecutionReport {
-                backend: self.backend.label().into(),
-                pass: "gridding",
-                modeled,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds,
-                transfer_seconds,
-                total_seconds,
-                counts,
-                device_energy_j: modeled.then_some(device_energy),
-                host_energy_j: modeled.then_some(host_energy),
-                nr_retries,
-                backoff_seconds,
-                fallback_jobs,
-                fleet,
-                metrics: None,
-                stream: Some(stats),
-            },
-        ))
+        let (grid, commit_seconds) = self.adder_stage(&items, &combined)?;
+        let commit_model = (items.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
+        drained.close(config, commit_model, commit_seconds);
+        Ok((grid, drained.report))
     }
 
     /// Run [`Proxy::grid_streamed`] under an observability session (the
@@ -362,13 +205,11 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("gridding");
-        let result = self.grid_streamed(config, uvw, visibilities, aterms);
-        let trace = session.finish();
-        let (grid, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_streamed(config, uvw, &report)?;
-        Ok((grid, report, trace))
+        self.observed(
+            "gridding",
+            || self.grid_streamed(config, uvw, visibilities, aterms),
+            || self.streamed_expectations(config, uvw, true),
+        )
     }
 
     /// Predict visibilities from a model grid through the streaming
@@ -395,113 +236,11 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
         let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities: &zeros,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
-        check_finite_uvw(uvw)?;
-        if grid
-            .as_slice()
-            .iter()
-            .any(|c| !c.re.is_finite() || !c.im.is_finite())
-        {
-            return Err(IdgError::InvalidParameter(
-                "model grid contains non-finite (NaN/Inf) samples".into(),
-            ));
-        }
-        if grid.size() != self.obs.grid_size {
-            return Err(IdgError::ShapeMismatch {
-                what: "grid",
-                expected: self.obs.grid_size,
-                actual: grid.size(),
-            });
-        }
-        config.validate()?;
-        let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
-        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
-        let extents = UvExtents::compute(&self.obs, uvw)?;
+        let data = self.checked_data(uvw, &zeros, aterms, Some(grid))?;
+        let mut drained = self.drain_stream(config, &data, Some(grid))?;
 
-        let t_start = Instant::now();
-        let StreamRun { results, mut stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
-            self.run_degrid_chunk(&data, &extents, grid, chunk)
-        })?;
-        stats.direction = StreamDirection::Degridding;
-        let mut outputs = Vec::with_capacity(results.len());
-        for result in results {
-            outputs.push(result?);
-        }
-
-        // aggregate: gather every covered work item behind a commit
-        // slot, remap fallback indices, sum the timing; the ledger
-        // pins the exactly-once-per-chunk commit discipline
-        let mut chunk_vis: Vec<Vec<Visibility<f32>>> = Vec::with_capacity(outputs.len());
-        let mut slots: Vec<DegridCommitSlot> = Vec::new();
-        let mut fallback_jobs: Vec<JobFailure> = Vec::new();
-        let mut counts = OpCounts::default();
-        let (mut kernel_seconds, mut fft_seconds, mut transfer_seconds) = (0.0, 0.0, 0.0);
-        let mut splitter_seconds = 0.0;
-        let (mut device_energy, mut host_energy, mut backoff_seconds) = (0.0, 0.0, 0.0);
-        let mut nr_retries = 0usize;
-        let (mut redispatched, mut degradation, mut trips) = (0usize, 0usize, 0u64);
-        let mut makespans = Vec::with_capacity(outputs.len());
-        let mut item_base = 0usize;
-        let mut job_base = 0usize;
-        let mut ledger = CommitLedger::new(outputs.len());
-        for (src, out) in outputs.into_iter().enumerate() {
-            ledger.commit(src)?;
-            for range in &out.ranges {
-                for idx in range.clone() {
-                    slots.push(DegridCommitSlot {
-                        item: out.items[idx],
-                        src,
-                    });
-                }
-            }
-            for mut failure in out.fallback_jobs {
-                failure.job += job_base;
-                failure.first_item += item_base;
-                fallback_jobs.push(failure);
-            }
-            counts.add(&out.counts);
-            kernel_seconds += out.kernel_seconds;
-            fft_seconds += out.fft_seconds;
-            splitter_seconds += out.splitter_seconds;
-            transfer_seconds += out.transfer_seconds;
-            device_energy += out.device_energy_j;
-            host_energy += out.host_energy_j;
-            nr_retries += out.nr_retries;
-            backoff_seconds += out.backoff_seconds;
-            redispatched += out.redispatched_jobs;
-            degradation += out.degradation_steps;
-            trips += out.breaker_trips;
-            makespans.push(out.makespan);
-            item_base += out.items.len();
-            job_base += out.items.len().div_ceil(self.work_group_size);
-            chunk_vis.push(out.vis);
-        }
-        ledger.finish()?;
-        if slots.len() != item_base {
-            return Err(IdgError::Internal(format!(
-                "streamed degrid commit covers {} of {} work items",
-                slots.len(),
-                item_base
-            )));
-        }
-
-        // the exactly-once in-order commit: sorting by (baseline,
-        // channel group, time) recovers the one-shot plan's item
-        // order; each item's rows are plain copies of disjoint slots
-        slots.sort_by_key(|s| {
-            (
-                s.item.baseline_index,
-                s.item.channel_offset,
-                s.item.time_offset,
-            )
-        });
+        // the exactly-once in-order commit: each item's rows are plain
+        // copies of disjoint slots
         let nr_time = self.obs.nr_timesteps;
         let nr_chan = self.obs.nr_channels();
         let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
@@ -509,68 +248,25 @@ impl Proxy {
         let t_commit = Instant::now();
         {
             let _span = idg_obs::wall_span("vis_commit", "stage", None);
-            for slot in &slots {
+            for slot in &drained.slots {
+                let Deferred::Vis(src) = &drained.outputs[slot.src].deferred else {
+                    continue;
+                };
                 let item = &slot.item;
-                let src = &chunk_vis[slot.src];
                 for dt in 0..item.nr_timesteps {
                     let row = (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
                     let cols =
                         row + item.channel_offset..row + item.channel_offset + item.nr_channels;
-                    vis[cols.clone()].copy_from_slice(&src[cols]);
+                    vis[cols.clone()].copy_from_slice(&src.vis[cols]);
                 }
                 committed_vis += (item.nr_timesteps * item.nr_channels) as u64;
             }
         }
         let commit_seconds = t_commit.elapsed().as_secs_f64();
-
-        let modeled = matches!(self.backend, Backend::GpuPascal | Backend::GpuFiji);
         // each committed visibility is one 4-pol read + write (32 B)
         let commit_model = (committed_vis * 2 * 32) as f64 / HOST_ADDER_BW;
-        let adder_seconds = splitter_seconds
-            + if modeled {
-                commit_model
-            } else {
-                commit_seconds
-            };
-        let total_seconds = if modeled {
-            stream_makespan(&makespans, config.workers.min(config.max_inflight)) + commit_model
-        } else {
-            t_start.elapsed().as_secs_f64()
-        };
-        let fleet = if modeled {
-            self.fleet.as_ref().map(|c| FleetStats {
-                nr_devices: c.nr_devices,
-                redispatched_jobs: redispatched,
-                degradation_steps: degradation,
-                breaker_trips: trips,
-                per_device: Vec::new(),
-            })
-        } else {
-            None
-        };
-
-        Ok((
-            vis,
-            ExecutionReport {
-                backend: self.backend.label().into(),
-                pass: "degridding",
-                modeled,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds,
-                transfer_seconds,
-                total_seconds,
-                counts,
-                device_energy_j: modeled.then_some(device_energy),
-                host_energy_j: modeled.then_some(host_energy),
-                nr_retries,
-                backoff_seconds,
-                fallback_jobs,
-                fleet,
-                metrics: None,
-                stream: Some(stats),
-            },
-        ))
+        drained.close(config, commit_model, commit_seconds);
+        Ok((vis, drained.report))
     }
 
     /// Run [`Proxy::degrid_streamed`] under an observability session
@@ -583,398 +279,195 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("degridding");
-        let result = self.degrid_streamed(config, grid, uvw, aterms);
-        let trace = session.finish();
-        let (vis, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_streamed(config, uvw, &report)?;
-        Ok((vis, report, trace))
+        self.observed(
+            "degridding",
+            || self.degrid_streamed(config, grid, uvw, aterms),
+            || self.streamed_expectations(config, uvw, false),
+        )
     }
 
-    /// One chunk's pass: plan against the shared uv extents, then run
-    /// the back-end's gridder + subgrid FFT, leaving the commit to the
+    /// Run every chunk's pass (gridding, or degridding `grid`) through
+    /// the scheduler, then drain the outputs: each chunk exactly once
+    /// (the [`CommitLedger`]), every covered work item behind a commit
+    /// slot sorted by `(baseline, channel group, time)` — which
+    /// recovers the one-shot plan's item order — fallback indices
+    /// remapped to stream-global ones, and the chunk reports summed.
+    fn drain_stream(
+        &self,
+        config: &StreamConfig,
+        data: &KernelData<'_>,
+        grid: Option<&Grid<f32>>,
+    ) -> Result<Drained, IdgError> {
+        config.validate()?;
+        let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
+        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
+        let extents = UvExtents::compute(&self.obs, data.uvw)?;
+
+        let t_start = Instant::now();
+        let StreamRun { results, mut stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
+            self.run_chunk(data, &extents, grid, chunk)
+        })?;
+        let pass = match grid {
+            None => "gridding",
+            Some(_) => {
+                stats.direction = StreamDirection::Degridding;
+                "degridding"
+            }
+        };
+        let outputs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+        let mut report = ExecutionReport::new(self.backend, pass, OpCounts::default(), [0.0; 3]);
+        report.stream = Some(stats);
+        let mut slots: Vec<CommitSlot> = Vec::new();
+        let mut makespans = Vec::with_capacity(outputs.len());
+        let mut ledger = CommitLedger::new(outputs.len());
+        let (mut item_base, mut job_base) = (0usize, 0usize);
+        for (src, out) in outputs.iter().enumerate() {
+            ledger.commit(src)?;
+            let ranges: Vec<_> = match &out.deferred {
+                Deferred::Subgrids(pending) => pending.iter().map(|(r, _)| r.clone()).collect(),
+                Deferred::Vis(deferred) => deferred.ranges.clone(),
+            };
+            for (array, range) in ranges.into_iter().enumerate() {
+                for (plane, idx) in range.enumerate() {
+                    let item = out.items[idx];
+                    slots.push(CommitSlot {
+                        item,
+                        src,
+                        array,
+                        plane,
+                    });
+                }
+            }
+            report
+                .fallback_jobs
+                .extend(out.report.fallback_jobs.iter().map(|f| {
+                    let mut failure = f.clone();
+                    failure.job += job_base;
+                    failure.first_item += item_base;
+                    failure
+                }));
+            report.absorb(&out.report);
+            makespans.push(out.report.total_seconds);
+            item_base += out.items.len();
+            job_base += out.items.len().div_ceil(self.work_group_size);
+        }
+        ledger.finish()?;
+        if slots.len() != item_base {
+            return Err(IdgError::Internal(format!(
+                "streamed {pass} commit covers {} of {} work items",
+                slots.len(),
+                item_base
+            )));
+        }
+        slots.sort_by_key(|s| {
+            (
+                s.item.baseline_index,
+                s.item.channel_offset,
+                s.item.time_offset,
+            )
+        });
+        Ok(Drained {
+            outputs,
+            slots,
+            report,
+            makespans,
+            t_start,
+        })
+    }
+
+    /// One chunk's pass — gridding, or degridding `grid` — planned
+    /// against the shared uv extents, with the commit left to the
     /// caller. Runs on a scheduler worker thread.
     fn run_chunk(
         &self,
         data: &KernelData<'_>,
         extents: &UvExtents,
+        grid: Option<&Grid<f32>>,
         chunk: &Chunk,
     ) -> Result<ChunkOutput, IdgError> {
         let plan = plan_chunk(&self.obs, data.uvw, extents, chunk)?;
         let n = self.obs.subgrid_size;
         let tag = u32::try_from(chunk.index).ok();
-        match self.backend {
-            Backend::CpuReference | Backend::CpuOptimized => {
-                let t0 = Instant::now();
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), n);
-                {
-                    let _span = idg_obs::wall_span("gridder", "stage", tag);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            gridder_reference(data, &plan.items, &mut subgrids)?;
-                        }
-                        _ => gridder_cpu(
-                            data,
-                            &plan.items,
-                            &mut subgrids,
-                            Accuracy::Medium,
-                            &self.cache,
-                        )?,
-                    }
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_fft", "stage", tag);
-                    fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                }
-                let t2 = Instant::now();
+        let whole = 0..plan.items.len();
+        let (deferred, report) = match (grid, self.backend.modeled()) {
+            (None, false) => {
+                let (subgrids, [t_kernel, t_fft]) =
+                    self.grid_chain(data, &plan.items, tag, None)?;
                 let counts = gridder_counts(&plan.items, n);
-                let nr_items = plan.items.len();
-                Ok(ChunkOutput {
-                    items: plan.items,
-                    pending: vec![(0..nr_items, subgrids)],
-                    fallback_jobs: Vec::new(),
-                    counts,
-                    kernel_seconds: (t1 - t0).as_secs_f64(),
-                    fft_seconds: (t2 - t1).as_secs_f64(),
-                    transfer_seconds: 0.0,
-                    makespan: (t2 - t0).as_secs_f64(),
-                    device_energy_j: 0.0,
-                    host_energy_j: 0.0,
-                    nr_retries: 0,
-                    backoff_seconds: 0.0,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
+                let times = [t_kernel, t_fft, 0.0];
+                let report = ExecutionReport::new(self.backend, "gridding", counts, times);
+                (Deferred::Subgrids(vec![(whole, subgrids)]), report)
             }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(fconfig) = self.fleet.clone() {
-                    let (pending, report) =
-                        self.fleet_executor(&fconfig)?.grid_deferred(data, &plan)?;
-                    let (pending, fallback_jobs) =
-                        self.fallback_pending(data, &plan, pending, &report.failed_jobs)?;
-                    return Ok(ChunkOutput {
-                        items: plan.items,
-                        pending,
-                        fallback_jobs,
-                        counts: report.counts,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        makespan: report.makespan,
-                        device_energy_j: report.device_energy_j,
-                        host_energy_j: report.host_energy_j,
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        redispatched_jobs: report.redispatched_jobs,
-                        degradation_steps: report.degradation_steps,
-                        breaker_trips: report.breaker_trips,
-                    });
-                }
-                let (pending, report) = self.executor()?.grid_deferred(data, &plan)?;
-                let (pending, fallback_jobs) =
-                    self.fallback_pending(data, &plan, pending, &report.failed_jobs)?;
-                Ok(ChunkOutput {
-                    items: plan.items,
-                    pending,
-                    fallback_jobs,
-                    counts: report.counts,
-                    kernel_seconds: report.kernel_seconds,
-                    fft_seconds: report.fft_seconds,
-                    transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                    makespan: report.makespan,
-                    device_energy_j: report.device_energy_j,
-                    host_energy_j: report.host_energy_j,
-                    nr_retries: report.nr_retries,
-                    backoff_seconds: report.backoff_seconds,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
-            }
-        }
-    }
-
-    /// Graceful degradation for the deferred-commit path: compute the
-    /// persistently failed jobs' subgrids on the CPU reference kernels
-    /// and append them to the pending set, so they join the same single
-    /// in-order commit as the device-produced subgrids (the one-shot
-    /// fallback instead adds them after the device pass committed).
-    fn fallback_pending(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        mut pending: DeferredSubgrids,
-        failed_jobs: &[JobFailure],
-    ) -> Result<(DeferredSubgrids, Vec<JobFailure>), IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok((pending, Vec::new()));
-        }
-        if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
-        }
-        idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
-        for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
-            let range = failure.first_item..failure.first_item + failure.nr_items;
-            let items = &plan.items[range.clone()];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-            gridder_reference(data, items, &mut subgrids)?;
-            fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-            pending.push((range, subgrids));
-        }
-        Ok((pending, failed_jobs.to_vec()))
-    }
-
-    /// One chunk's degrid pass: plan against the shared uv extents,
-    /// split the chunk's subgrids out of the model grid, and predict
-    /// its visibilities into a chunk-local buffer, leaving the commit
-    /// to the caller. Runs on a scheduler worker thread.
-    fn run_degrid_chunk(
-        &self,
-        data: &KernelData<'_>,
-        extents: &UvExtents,
-        grid: &Grid<f32>,
-        chunk: &Chunk,
-    ) -> Result<DegridChunkOutput, IdgError> {
-        let plan = plan_chunk(&self.obs, data.uvw, extents, chunk)?;
-        let n = self.obs.subgrid_size;
-        let tag = u32::try_from(chunk.index).ok();
-        match self.backend {
-            Backend::CpuReference | Backend::CpuOptimized => {
-                let t0 = Instant::now();
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), n);
-                {
-                    let _span = idg_obs::wall_span("splitter", "stage", tag);
-                    split_subgrids(grid, &plan.items, &mut subgrids, &self.cache)?;
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_ifft", "stage", tag);
-                    fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                }
-                let t2 = Instant::now();
-                let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-                {
-                    let _span = idg_obs::wall_span("degridder", "stage", tag);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            degridder_reference(data, &plan.items, &subgrids, &mut vis)?;
-                        }
-                        _ => degridder_cpu(
-                            data,
-                            &plan.items,
-                            &subgrids,
-                            &mut vis,
-                            Accuracy::Medium,
-                            &self.cache,
-                        )?,
-                    }
-                }
-                let t3 = Instant::now();
+            (Some(grid), false) => {
+                let (vis, times) = self.degrid_chain(data, &plan.items, grid, tag, None)?;
                 let counts = degridder_counts(&plan.items, n);
-                // one covering range: the whole chunk is one CPU "job"
-                let ranges: Vec<std::ops::Range<usize>> =
-                    std::iter::once(0..plan.items.len()).collect();
-                Ok(DegridChunkOutput {
-                    items: plan.items,
-                    ranges,
-                    vis,
-                    fallback_jobs: Vec::new(),
-                    counts,
-                    kernel_seconds: (t3 - t2).as_secs_f64(),
-                    fft_seconds: (t2 - t1).as_secs_f64(),
-                    splitter_seconds: (t1 - t0).as_secs_f64(),
-                    transfer_seconds: 0.0,
-                    makespan: (t3 - t0).as_secs_f64(),
-                    device_energy_j: 0.0,
-                    host_energy_j: 0.0,
-                    nr_retries: 0,
-                    backoff_seconds: 0.0,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
+                let report = ExecutionReport::new(self.backend, "degridding", counts, times);
+                let ranges = vec![whole];
+                (Deferred::Vis(DeferredVis { ranges, vis }), report)
             }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(fconfig) = self.fleet.clone() {
-                    let (deferred, report) = self
-                        .fleet_executor(&fconfig)?
-                        .split_deferred(data, &plan, grid)?;
-                    let (deferred, fallback_jobs) = self.fallback_pending_degrid(
-                        data,
-                        &plan,
-                        grid,
-                        deferred,
-                        &report.failed_jobs,
-                    )?;
-                    return Ok(DegridChunkOutput {
-                        items: plan.items,
-                        ranges: deferred.ranges,
-                        vis: deferred.vis,
-                        fallback_jobs,
-                        counts: report.counts,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        splitter_seconds: report.adder_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        makespan: report.makespan,
-                        device_energy_j: report.device_energy_j,
-                        host_energy_j: report.host_energy_j,
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        redispatched_jobs: report.redispatched_jobs,
-                        degradation_steps: report.degradation_steps,
-                        breaker_trips: report.breaker_trips,
-                    });
-                }
-                let (deferred, report) = self.executor()?.split_deferred(data, &plan, grid)?;
-                let (deferred, fallback_jobs) =
-                    self.fallback_pending_degrid(data, &plan, grid, deferred, &report.failed_jobs)?;
-                Ok(DegridChunkOutput {
-                    items: plan.items,
-                    ranges: deferred.ranges,
-                    vis: deferred.vis,
-                    fallback_jobs,
-                    counts: report.counts,
-                    kernel_seconds: report.kernel_seconds,
-                    fft_seconds: report.fft_seconds,
-                    splitter_seconds: report.adder_seconds,
-                    transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                    makespan: report.makespan,
-                    device_energy_j: report.device_energy_j,
-                    host_energy_j: report.host_energy_j,
-                    nr_retries: report.nr_retries,
-                    backoff_seconds: report.backoff_seconds,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
+            (None, true) => {
+                let mut pending = Vec::new();
+                let report =
+                    self.device_pass(data, &plan, &mut Pass::GridDeferred(&mut pending))?;
+                (Deferred::Subgrids(pending), report)
             }
-        }
+            (Some(grid), true) => {
+                let mut out = DeferredVis::default();
+                let report = self.device_pass(data, &plan, &mut Pass::Degrid(grid, &mut out))?;
+                (Deferred::Vis(out), report)
+            }
+        };
+        Ok(ChunkOutput {
+            items: plan.items,
+            deferred,
+            report,
+        })
     }
 
-    /// Graceful degradation for the deferred-split path: re-predict
-    /// the persistently failed jobs' visibilities with the CPU
-    /// reference kernels into the same chunk-local buffer (the
-    /// executor already zeroed their slots) and append their ranges,
-    /// so they join the same exactly-once commit as the
-    /// device-produced slots.
-    fn fallback_pending_degrid(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        grid: &Grid<f32>,
-        mut deferred: DeferredVis,
-        failed_jobs: &[JobFailure],
-    ) -> Result<(DeferredVis, Vec<JobFailure>), IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok((deferred, Vec::new()));
-        }
-        if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
-        }
-        idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
-        for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
-            let range = failure.first_item..failure.first_item + failure.nr_items;
-            let items = &plan.items[range.clone()];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-            split_subgrids(grid, items, &mut subgrids, &self.cache)?;
-            fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-            degridder_reference(data, items, &subgrids, &mut deferred.vis)?;
-            deferred.ranges.push(range);
-        }
-        Ok((deferred, failed_jobs.to_vec()))
-    }
-
-    /// Cross-validate an observed streamed pass (see
+    /// What an observed streamed pass must measure (see
     /// [`Proxy::grid_observed`] for the contract). The chunk-local
     /// plans are re-derived here — planning is cheap next to the
-    /// kernels — to get the analytic counts, total item count and
-    /// per-chunk job counts the expectations need. Skipped whenever
-    /// kernels may legitimately run more than once per work item.
-    fn validate_streamed(
+    /// kernels — for the analytic counts, total item count and
+    /// per-chunk job counts.
+    ///
+    /// Streamed cache cadence. Gridding: the reference path looks up
+    /// once (the final commit's phasor tables); the optimized CPU path
+    /// once per chunk (geometry planes) plus the commit; the GPU paths
+    /// once per device job (compute phases) plus the commit.
+    /// Degridding: the splitter looks up phasors once per chunk
+    /// (reference) or per job (GPU), the degridder adds a geometry
+    /// lookup per chunk (optimized CPU) or per job (GPU), and the final
+    /// visibility commit is plain copies — no lookup.
+    fn streamed_expectations(
         &self,
         config: &StreamConfig,
         uvw: &[Uvw],
-        report: &ExecutionReport,
-    ) -> Result<(), IdgError> {
-        let fleet_perturbed = self.fleet_has_faults()
-            || report.fleet.as_ref().is_some_and(|f| {
-                f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
-            });
-        if self.fault_config.is_some()
-            || report.nr_retries > 0
-            || !report.fallback_jobs.is_empty()
-            || fleet_perturbed
-        {
-            return Ok(());
-        }
-        let Some(metrics) = &report.metrics else {
-            return Ok(());
-        };
-        let gridding = report.pass == "gridding";
+        gridding: bool,
+    ) -> Result<(OpCounts, u64, u64), IdgError> {
         let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
         let extents = UvExtents::compute(&self.obs, uvw)?;
         let mut analytic = OpCounts::default();
-        let mut nr_items = 0u64;
-        let mut nr_jobs = 0u64;
+        let (mut nr_items, mut nr_jobs) = (0u64, 0u64);
         for chunk in chunks.chunks() {
             let plan = plan_chunk(&self.obs, uvw, &extents, chunk)?;
-            analytic.add(&if gridding {
-                gridder_counts(&plan.items, self.obs.subgrid_size)
-            } else {
-                degridder_counts(&plan.items, self.obs.subgrid_size)
+            analytic.add(&match gridding {
+                true => gridder_counts(&plan.items, self.obs.subgrid_size),
+                false => degridder_counts(&plan.items, self.obs.subgrid_size),
             });
             nr_items += plan.items.len() as u64;
             nr_jobs += plan.work_groups(self.work_group_size).count() as u64;
         }
-        let k = metrics.pass_kernel();
-        let checks = [
-            ("visibilities", k.visibilities, analytic.visibilities),
-            ("sincos_pairs", k.sincos_pairs, analytic.sincos_pairs),
-            ("fmas", k.fmas, analytic.fmas),
-            ("dram_bytes", k.dram_bytes, analytic.dram_bytes),
-            ("shared_bytes", k.shared_bytes, analytic.shared_bytes),
-            ("invocations", k.invocations, nr_items),
-        ];
-        for (name, measured, predicted) in checks {
-            if measured != predicted {
-                return Err(IdgError::Internal(format!(
-                    "observability self-validation failed: streamed {} {name} \
-                     measured {measured} != analytic {predicted}",
-                    report.pass
-                )));
-            }
-        }
-        // Streamed cache cadence. Gridding: the reference path looks
-        // up once (the final commit's phasor tables); the optimized
-        // CPU path once per chunk (geometry planes) plus the commit;
-        // the GPU paths once per device job (compute phases) plus the
-        // commit. Degridding: the splitter looks up phasors once per
-        // chunk (reference) or per job (GPU), the degridder adds a
-        // geometry lookup per chunk (optimized CPU) or per job (GPU),
-        // and the final visibility commit is plain copies — no lookup.
-        let lookups = metrics.cache_hits + metrics.cache_misses;
-        let expected_lookups = match (self.backend, gridding) {
+        let nr_chunks = chunks.len() as u64;
+        let lookups = match (self.backend, gridding) {
             (Backend::CpuReference, true) => 1,
-            (Backend::CpuOptimized, true) => chunks.len() as u64 + 1,
+            (Backend::CpuOptimized, true) => nr_chunks + 1,
             (Backend::GpuPascal | Backend::GpuFiji, true) => nr_jobs + 1,
-            (Backend::CpuReference, false) => chunks.len() as u64,
-            (Backend::CpuOptimized, false) => 2 * chunks.len() as u64,
+            (Backend::CpuReference, false) => nr_chunks,
+            (Backend::CpuOptimized, false) => 2 * nr_chunks,
             (Backend::GpuPascal | Backend::GpuFiji, false) => 2 * nr_jobs,
         };
-        if lookups != expected_lookups {
-            return Err(IdgError::Internal(format!(
-                "observability self-validation failed: streamed {} cache lookups \
-                 measured {lookups} != expected {expected_lookups}",
-                report.pass
-            )));
-        }
-        Ok(())
+        Ok((analytic, nr_items, lookups))
     }
 }
 

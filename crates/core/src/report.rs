@@ -5,7 +5,8 @@
 //! per-stage times (Fig. 9), visibility throughput (Fig. 10), operation
 //! counts and intensities (Figs. 11–13) and energy (Figs. 14–15).
 
-use idg_gpusim::{DeviceReport, JobFailure};
+use crate::Backend;
+use idg_gpusim::{DeviceReport, JobFailure, RunReport};
 use idg_obs::MetricsSnapshot;
 use idg_perf::OpCounts;
 use idg_stream::StreamStats;
@@ -34,7 +35,7 @@ pub struct FleetStats {
 }
 
 /// Timing and accounting of one gridding or degridding pass.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecutionReport {
     /// Back-end label ("cpu-optimized", "gpu-pascal", …).
     pub backend: String,
@@ -83,6 +84,82 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// The report of a measured pass from its `[kernel, fft,
+    /// adder/splitter]` stage times, whose sum is the total: no
+    /// transfers or energies, nothing retried, re-executed, observed or
+    /// streamed. The modeled reports build on it.
+    pub(crate) fn new(
+        backend: Backend,
+        pass: &'static str,
+        counts: OpCounts,
+        [kernel_seconds, fft_seconds, adder_seconds]: [f64; 3],
+    ) -> Self {
+        Self {
+            backend: backend.label().into(),
+            pass,
+            modeled: backend.modeled(),
+            kernel_seconds,
+            fft_seconds,
+            adder_seconds,
+            total_seconds: kernel_seconds + fft_seconds + adder_seconds,
+            counts,
+            ..Self::default()
+        }
+    }
+
+    /// The report of a modeled device pass whose failed jobs the CPU
+    /// fallback re-executed; `nr_devices` is the fleet's size for a
+    /// fleet pass.
+    pub(crate) fn from_run(backend: Backend, run: RunReport, nr_devices: Option<usize>) -> Self {
+        let stages = [run.kernel_seconds, run.fft_seconds, run.adder_seconds];
+        Self {
+            transfer_seconds: run.htod_seconds + run.dtoh_seconds,
+            total_seconds: run.makespan,
+            device_energy_j: Some(run.device_energy_j),
+            host_energy_j: Some(run.host_energy_j),
+            nr_retries: run.nr_retries,
+            backoff_seconds: run.backoff_seconds,
+            fallback_jobs: run.failed_jobs,
+            fleet: nr_devices.map(|nr_devices| FleetStats {
+                nr_devices,
+                redispatched_jobs: run.redispatched_jobs,
+                degradation_steps: run.degradation_steps,
+                breaker_trips: run.breaker_trips,
+                per_device: run.per_device,
+            }),
+            ..Self::new(backend, run.pass, run.counts, stages)
+        }
+    }
+
+    /// Add one streamed chunk's accounting to this stream-level report:
+    /// counts, stage and transfer times, energies, retries and the
+    /// fleet's scalar counters (per-device breakdowns are not
+    /// aggregated across chunks — each chunk ran its own fleet pass).
+    pub(crate) fn absorb(&mut self, chunk: &ExecutionReport) {
+        let sum = |a: Option<f64>, b: Option<f64>| b.map(|b| a.unwrap_or(0.0) + b).or(a);
+        self.counts.add(&chunk.counts);
+        self.kernel_seconds += chunk.kernel_seconds;
+        self.fft_seconds += chunk.fft_seconds;
+        self.adder_seconds += chunk.adder_seconds;
+        self.transfer_seconds += chunk.transfer_seconds;
+        self.device_energy_j = sum(self.device_energy_j, chunk.device_energy_j);
+        self.host_energy_j = sum(self.host_energy_j, chunk.host_energy_j);
+        self.nr_retries += chunk.nr_retries;
+        self.backoff_seconds += chunk.backoff_seconds;
+        if let Some(f) = &chunk.fleet {
+            let total = self.fleet.get_or_insert_with(|| FleetStats {
+                nr_devices: f.nr_devices,
+                redispatched_jobs: 0,
+                degradation_steps: 0,
+                breaker_trips: 0,
+                per_device: Vec::new(),
+            });
+            total.redispatched_jobs += f.redispatched_jobs;
+            total.degradation_steps += f.degradation_steps;
+            total.breaker_trips += f.breaker_trips;
+        }
+    }
+
     /// Visibility throughput of the whole pass, MVisibilities/s —
     /// the Fig. 10 metric, computed from [`Self::effective_counts`]
     /// (measured counters when the pass was observed). 0 when the pass

@@ -6,25 +6,19 @@
 //! API for applications but useless for *attributing* a numerical
 //! discrepancy: a grid that disagrees by 1e-3 says nothing about
 //! whether the gridder, the subgrid FFT, or the adder diverged. The
-//! `*_stages` variants here run the identical kernels in the identical
-//! order but snapshot every intermediate buffer, so the conformance
-//! suite (`crates/conformance`) can compare back-ends stage by stage
-//! against the scalar reference.
+//! `*_stages` variants here run the very same stage chains — behind the
+//! same input validation — but snapshot every intermediate buffer, so
+//! the conformance suite (`crates/conformance`) can compare back-ends
+//! stage by stage against the scalar reference.
 //!
-//! These methods are *functional* only: no timing, no execution report,
-//! no pipeline modeling. GPU back-ends execute their kernels in a
+//! These methods are *functional* only: no execution report, no
+//! pipeline modeling. GPU back-ends execute their kernels in a
 //! single launch group (numerically identical to the grouped launches
 //! of [`idg_gpusim::GpuExecutor`], which partition work items purely
 //! for the performance model).
 
-use crate::proxy::{Backend, Proxy};
-use idg_fft::Direction;
-use idg_gpusim::kernels::{degridder_gpu, gridder_gpu};
-use idg_kernels::{
-    add_subgrids, degridder_cpu, degridder_reference, fft_subgrids, gridder_cpu, gridder_reference,
-    split_subgrids, FftNorm, KernelData, SubgridArray,
-};
-use idg_math::Accuracy;
+use crate::proxy::Proxy;
+use idg_kernels::SubgridArray;
 use idg_plan::Plan;
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Uvw, Visibility};
@@ -54,6 +48,15 @@ pub struct DegridStages {
     pub visibilities: Vec<Visibility<f32>>,
 }
 
+/// Take the next stage snapshot off the front of `snapshots`.
+fn next_snapshot(
+    snapshots: &mut std::vec::IntoIter<SubgridArray>,
+) -> Result<SubgridArray, IdgError> {
+    snapshots
+        .next()
+        .ok_or_else(|| IdgError::Internal("stage chain took no snapshot".into()))
+}
+
 impl Proxy {
     /// Run the gridding pass, snapshotting each stage.
     pub fn grid_stages(
@@ -63,48 +66,13 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<GridStages, IdgError> {
-        let data = KernelData {
-            obs: self.observation(),
-            uvw,
-            visibilities,
-            aterms,
-            taper: self.taper(),
-        };
-        data.validate()?;
-
-        let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.observation().subgrid_size);
-        match self.backend() {
-            Backend::CpuReference => gridder_reference(&data, &plan.items, &mut subgrids)?,
-            Backend::CpuOptimized => {
-                gridder_cpu(
-                    &data,
-                    &plan.items,
-                    &mut subgrids,
-                    Accuracy::Medium,
-                    self.kernel_cache(),
-                )?;
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                gridder_gpu(
-                    &data,
-                    &plan.items,
-                    &mut subgrids,
-                    &self.device()?,
-                    self.kernel_cache(),
-                )?;
-            }
-        }
-        let gridder_subgrids = subgrids.clone();
-
-        fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-        let fft_snapshot = subgrids.clone();
-
-        let mut grid = Grid::<f32>::new(self.observation().grid_size);
-        add_subgrids(&mut grid, &plan.items, &subgrids, self.kernel_cache())?;
-
+        let data = self.checked_data(uvw, visibilities, aterms, None)?;
+        let mut snapshots = Vec::new();
+        let (fft_subgrids, _) = self.grid_chain(&data, &plan.items, None, Some(&mut snapshots))?;
+        let (grid, _) = self.adder_stage(&plan.items, &fft_subgrids)?;
         Ok(GridStages {
-            gridder_subgrids,
-            fft_subgrids: fft_snapshot,
+            gridder_subgrids: next_snapshot(&mut snapshots.into_iter())?,
+            fft_subgrids,
             grid,
         })
     }
@@ -118,58 +86,15 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<DegridStages, IdgError> {
         let zeros = vec![Visibility::<f32>::zero(); self.observation().nr_visibilities()];
-        let data = KernelData {
-            obs: self.observation(),
-            uvw,
-            visibilities: &zeros,
-            aterms,
-            taper: self.taper(),
-        };
-        data.validate()?;
-        if grid.size() != self.observation().grid_size {
-            return Err(IdgError::ShapeMismatch {
-                what: "grid",
-                expected: self.observation().grid_size,
-                actual: grid.size(),
-            });
-        }
-
-        let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.observation().subgrid_size);
-        split_subgrids(grid, &plan.items, &mut subgrids, self.kernel_cache())?;
-        let split_snapshot = subgrids.clone();
-
-        fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-        let ifft_snapshot = subgrids.clone();
-
-        let mut vis = vec![Visibility::<f32>::zero(); self.observation().nr_visibilities()];
-        match self.backend() {
-            Backend::CpuReference => degridder_reference(&data, &plan.items, &subgrids, &mut vis)?,
-            Backend::CpuOptimized => {
-                degridder_cpu(
-                    &data,
-                    &plan.items,
-                    &subgrids,
-                    &mut vis,
-                    Accuracy::Medium,
-                    self.kernel_cache(),
-                )?;
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                degridder_gpu(
-                    &data,
-                    &plan.items,
-                    &subgrids,
-                    &mut vis,
-                    &self.device()?,
-                    self.kernel_cache(),
-                )?;
-            }
-        }
-
+        let data = self.checked_data(uvw, &zeros, aterms, Some(grid))?;
+        let mut snapshots = Vec::new();
+        let (visibilities, _) =
+            self.degrid_chain(&data, &plan.items, grid, None, Some(&mut snapshots))?;
+        let mut snapshots = snapshots.into_iter();
         Ok(DegridStages {
-            split_subgrids: split_snapshot,
-            ifft_subgrids: ifft_snapshot,
-            visibilities: vis,
+            split_subgrids: next_snapshot(&mut snapshots)?,
+            ifft_subgrids: next_snapshot(&mut snapshots)?,
+            visibilities,
         })
     }
 }
@@ -177,11 +102,11 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proxy::Backend;
     use idg_telescope::{Dataset, Layout, SkyModel};
     use idg_types::Observation;
 
-    #[test]
-    fn stages_agree_with_the_monolithic_pass() {
+    fn dataset() -> Dataset {
         let obs = Observation::builder()
             .stations(4)
             .timesteps(16)
@@ -195,7 +120,12 @@ mod tests {
             .unwrap();
         let layout = Layout::uniform(4, 700.0, 41);
         let sky = SkyModel::random(&obs, 3, 0.5, 43);
-        let ds = Dataset::simulate(obs, &layout, sky, &idg_telescope::IdentityATerm);
+        Dataset::simulate(obs, &layout, sky, &idg_telescope::IdentityATerm)
+    }
+
+    #[test]
+    fn stages_agree_with_the_monolithic_pass() {
+        let ds = dataset();
 
         for backend in Backend::all() {
             let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
@@ -215,5 +145,29 @@ mod tests {
                 .unwrap();
             assert_eq!(vis, dstages.visibilities, "{backend:?} visibilities");
         }
+    }
+
+    #[test]
+    fn staged_runs_reject_non_finite_inputs_with_a_typed_error() {
+        let ds = dataset();
+        let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        let plan = proxy.plan(&ds.uvw).unwrap();
+
+        let mut bad_vis = ds.visibilities.clone();
+        bad_vis[3].pols[1].re = f32::NAN;
+        assert!(matches!(
+            proxy.grid_stages(&plan, &ds.uvw, &bad_vis, &ds.aterms),
+            Err(IdgError::InvalidParameter(_))
+        ));
+
+        let mut bad_grid = proxy
+            .grid_stages(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .unwrap()
+            .grid;
+        bad_grid.as_mut_slice()[5].im = f32::NAN;
+        assert!(matches!(
+            proxy.degrid_stages(&plan, &bad_grid, &ds.uvw, &ds.aterms),
+            Err(IdgError::InvalidParameter(_))
+        ));
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! The [`FleetExecutor`] partitions a pass's work groups across its
 //! member devices round-robin (job `j` prefers device `j mod N`) and
-//! runs each job through the same fault/retry machinery as the
-//! single-device [`crate::GpuExecutor`]. On top of that it layers the
-//! robustness the single executor lacks:
+//! runs each job through the same job engine as the single-device
+//! [`crate::GpuExecutor`] — only the dispatch loop differs. On top of
+//! it the fleet layers the robustness the single executor lacks:
 //!
 //! - **Health-aware dispatch.** Every device carries a
 //!   [`DeviceHealth`] tracker; a device whose breaker is `Open`
@@ -20,61 +20,25 @@
 //!   fit even the smallest rung is declared dead. Injected allocation
 //!   faults ([`IdgError::is_degradable`]) take the same ladder and
 //!   then *resume the job's retry loop* past the faulted attempt.
-//! - **Deterministic order-preserving merge.** Gridding jobs may
-//!   finish on any device in any order, but f32 accumulation is not
-//!   associative — so computed subgrids are buffered and committed to
-//!   the master grid strictly in global job order, which makes a
-//!   fleet run bit-identical to the sequential single-device
-//!   reference whatever the fault schedule did to the scheduling.
+//! - **Deterministic order-preserving merge.** Jobs may finish on any
+//!   device in any order, but the engine commits them strictly in
+//!   global job order, which makes a fleet run bit-identical to the
+//!   sequential single-device reference whatever the fault schedule
+//!   did to the scheduling.
 //!
-//! Everything is measured on the modeled [`PipelineSim`] clocks
+//! Everything is measured on the modeled [`crate::PipelineSim`] clocks
 //! (per-device); no wall time enters any decision, so a chaos run
 //! with a given seed and fleet shape replays byte-identically.
 
 use crate::device::Device;
-use crate::executor::{
-    emit_modeled_spans, run_job, staged_subgrid_bytes, staged_uvw_bytes, staged_vis_bytes,
-    DeferredSubgrids, DeferredVis, JobFailure, JobOp, JobRun, RetryStats,
-};
-use crate::fault::{FaultConfig, FaultInjector, RetryPolicy};
+use crate::engine::{DeviceSlot, JobEngine, JobRun, Pass, RunReport, MAX_DEGRADATION_LEVEL};
+use crate::fault::{FaultConfig, RetryPolicy};
 use crate::health::{BreakerConfig, DeviceHealth, JobOutcome};
-use crate::kernels::{degridder_gpu, gridder_gpu};
-use crate::stream::PipelineSim;
-use crate::timing::{adder_time, kernel_time, subgrid_fft_time, transfer_time};
-use idg_fft::Direction;
-use idg_kernels::{
-    add_subgrids, fft_subgrids, split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
-};
-use idg_perf::{degridder_counts, gridder_counts, EnergyModel, OpCounts};
-use idg_plan::{Plan, WorkItem};
+use idg_kernels::{KernelCache, KernelData};
+use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::Arc;
-
-/// Deepest rung of the OOM degradation ladder (see [`level_shape`]).
-const MAX_DEGRADATION_LEVEL: usize = 2;
-
-/// One gridding job's computed-but-uncommitted output: the subgrids of
-/// each staged chunk, keyed by the chunk's item range within the group.
-type PendingChunks = Vec<(Range<usize>, SubgridArray)>;
-
-/// The staging shape at one degradation-ladder rung: `(items staged
-/// per buffer set, number of buffer sets)`.
-///
-/// Rung 0 is the paper's configuration (full work groups, triple
-/// buffering); rung 1 halves the staged batch (jobs compute in two
-/// half-chunks that fit the smaller buffers); rung 2 additionally
-/// gives up the transfer/compute overlap by dropping to one buffer
-/// set. The per-job *CPU fallback* rung lives above the fleet, in the
-/// proxy: it only engages for jobs the whole fleet failed.
-fn level_shape(work_group_size: usize, level: usize) -> (usize, usize) {
-    match level {
-        0 => (work_group_size, 3),
-        1 => (work_group_size.div_ceil(2).max(1), 3),
-        _ => (work_group_size.div_ceil(2).max(1), 1),
-    }
-}
 
 /// One device of the fleet plus its (optional) fault schedule.
 ///
@@ -87,112 +51,6 @@ pub struct FleetMember {
     pub device: Device,
     /// Fault-injection schedule for this device (None = fault-free).
     pub faults: Option<FaultConfig>,
-}
-
-/// Per-device slice of a [`FleetRunReport`].
-#[derive(Clone, Debug)]
-pub struct DeviceReport {
-    /// Architecture nickname (e.g. `"PASCAL"`).
-    pub nickname: &'static str,
-    /// Jobs whose results this device delivered.
-    pub jobs_completed: usize,
-    /// Transient-fault retries on this device.
-    pub nr_retries: usize,
-    /// Breaker trips on this device.
-    pub breaker_trips: u64,
-    /// Final degradation-ladder rung (0 = full configuration).
-    pub degradation_level: usize,
-    /// This device's pipeline makespan, modeled seconds.
-    pub makespan: f64,
-    /// Whether the device was still accepting work at pass end.
-    pub alive: bool,
-}
-
-/// Outcome of one fleet pass.
-#[derive(Clone, Debug)]
-pub struct FleetRunReport {
-    /// "gridding" or "degridding".
-    pub pass: &'static str,
-    /// Aggregate operation counters (successful jobs).
-    pub counts: OpCounts,
-    /// Modeled main-kernel busy time summed over devices, s.
-    pub kernel_seconds: f64,
-    /// Modeled subgrid-FFT time summed over devices, s.
-    pub fft_seconds: f64,
-    /// Modeled adder/splitter time summed over devices, s.
-    pub adder_seconds: f64,
-    /// Modeled host-to-device transfer time summed over devices, s.
-    pub htod_seconds: f64,
-    /// Modeled device-to-host transfer time summed over devices, s.
-    pub dtoh_seconds: f64,
-    /// Fleet makespan: the slowest device's pipeline makespan, s.
-    pub makespan: f64,
-    /// Modeled device energy summed over devices, J.
-    pub device_energy_j: f64,
-    /// Modeled host energy over the fleet makespan, J.
-    pub host_energy_j: f64,
-    /// Transient-fault retries summed over devices.
-    pub nr_retries: usize,
-    /// Total modeled backoff delay inserted before retries, s.
-    pub backoff_seconds: f64,
-    /// Dispatches that did not land on the job's preferred device
-    /// (breaker refusals, dead devices, and post-failure re-queues).
-    pub redispatched_jobs: usize,
-    /// Degradation-ladder rungs taken across the fleet.
-    pub degradation_steps: usize,
-    /// Breaker trips summed over devices.
-    pub breaker_trips: u64,
-    /// Per-device breakdown.
-    pub per_device: Vec<DeviceReport>,
-    /// Jobs no device could complete (their work is *not* in the
-    /// result); the proxy's per-job CPU fallback is the last rung.
-    pub failed_jobs: Vec<JobFailure>,
-}
-
-impl FleetRunReport {
-    /// Whether every job's outputs made it into the result.
-    pub fn complete(&self) -> bool {
-        self.failed_jobs.is_empty()
-    }
-}
-
-/// Mutable per-device execution state during one pass.
-struct DeviceState {
-    device: Device,
-    injector: Option<FaultInjector>,
-    pipeline: PipelineSim,
-    health: DeviceHealth,
-    level: usize,
-    reserved: u64,
-    host_adder: bool,
-    alive: bool,
-    jobs_completed: usize,
-    nr_retries: usize,
-    /// Kernel breakdown per global job, for span replay.
-    compute_parts: Vec<Vec<(&'static str, f64)>>,
-}
-
-/// Model the device-resident allocations of a pass at one ladder rung
-/// (same layout as the single-device executor's reservation: grid +
-/// buffer sets, falling back to host-side adding when the grid alone
-/// no longer fits). Returns `(reserved_bytes, host_adder)`.
-fn reserve_at_level(
-    device: &mut Device,
-    plan: &Plan,
-    work_group_size: usize,
-    level: usize,
-) -> Result<(u64, bool), IdgError> {
-    let (w_eff, nr_buffers) = level_shape(work_group_size, level);
-    let n = plan.subgrid_size();
-    let grid_bytes = (4 * plan.grid_size() * plan.grid_size() * 8) as u64;
-    let subgrid_bytes = (w_eff * 4 * n * n * 8) as u64;
-    let io_bytes = (w_eff * 512 * 44) as u64; // vis+uvw staging
-    let buffers = nr_buffers as u64 * (subgrid_bytes + io_bytes);
-    if device.allocate(grid_bytes + buffers).is_ok() {
-        return Ok((grid_bytes + buffers, false));
-    }
-    device.allocate(buffers)?;
-    Ok((buffers, true))
 }
 
 /// Drives gridding / degridding passes across a fleet of modeled
@@ -209,6 +67,24 @@ pub struct FleetExecutor {
     pub breaker: BreakerConfig,
     /// Pass-level kernel cache, shared with the owning proxy.
     pub cache: Arc<KernelCache>,
+}
+
+/// Walk `slot` down the OOM ladder from rung `from` until its
+/// reservation fits, counting every rung below the full configuration
+/// as a degradation step. A device that exhausts the ladder is dead.
+fn walk_ladder(engine: &mut JobEngine<'_, '_>, slot: &mut DeviceSlot, from: usize) -> bool {
+    for level in from..=MAX_DEGRADATION_LEVEL {
+        if level > 0 {
+            engine.report.degradation_steps += 1;
+            idg_obs::add_degradation_steps(1);
+        }
+        if engine.reserve(slot, level).is_ok() {
+            return true;
+        }
+    }
+    slot.release();
+    slot.alive = false;
+    false
 }
 
 impl FleetExecutor {
@@ -261,687 +137,81 @@ impl FleetExecutor {
         self
     }
 
-    /// Whether any member carries a fault schedule.
-    pub fn any_faults(&self) -> bool {
-        self.members.iter().any(|m| m.faults.is_some())
-    }
-
-    /// Set up per-device state, walking each device down the
-    /// degradation ladder until its reservation fits (a device that
-    /// cannot fit even one buffer set starts the pass dead).
-    fn setup(
-        &self,
-        plan: &Plan,
-        nr_jobs: usize,
-        degradation_steps: &mut usize,
-    ) -> Result<Vec<DeviceState>, IdgError> {
-        if self.members.is_empty() {
-            return Err(IdgError::InvalidParameter(
-                "a fleet needs at least one device".into(),
-            ));
-        }
-        self.breaker.validate()?;
-        let mut states = Vec::with_capacity(self.members.len());
-        for member in &self.members {
-            let mut device = member.device.clone();
-            let mut level = 0;
-            let mut placed = None;
-            loop {
-                match reserve_at_level(&mut device, plan, self.work_group_size, level) {
-                    Ok(ok) => {
-                        placed = Some(ok);
-                        break;
-                    }
-                    Err(_) if level < MAX_DEGRADATION_LEVEL => {
-                        level += 1;
-                        *degradation_steps += 1;
-                        idg_obs::add_degradation_steps(1);
-                    }
-                    Err(_) => break,
-                }
-            }
-            let (reserved, host_adder) = placed.unwrap_or((0, false));
-            let (_, nr_buffers) = level_shape(self.work_group_size, level);
-            states.push(DeviceState {
-                device,
-                injector: member.faults.clone().map(FaultInjector::new),
-                pipeline: PipelineSim::new(nr_buffers),
-                health: DeviceHealth::new(self.breaker)?,
-                level,
-                reserved,
-                host_adder,
-                alive: placed.is_some(),
-                jobs_completed: 0,
-                nr_retries: 0,
-                compute_parts: vec![Vec::new(); nr_jobs],
-            });
-        }
-        Ok(states)
-    }
-
     /// Choose a device for `job`: the first admitting device in
     /// round-robin order from the job's preferred owner, or — when
     /// every eligible breaker is `Open` — the device whose cooldown
     /// expires first, with the wait modeled into the job's release
     /// time. `None` means no device can ever take the job.
     fn choose_device(
-        states: &mut [DeviceState],
+        slots: &[DeviceSlot],
+        health: &mut [DeviceHealth],
         job: usize,
         tried: &[usize],
     ) -> Option<(usize, f64)> {
-        let n = states.len();
+        let n = slots.len();
+        let eligible = |d: usize| slots[d].alive && !tried.contains(&d);
         for k in 0..n {
             let d = (job + k) % n;
-            if !states[d].alive || tried.contains(&d) {
-                continue;
-            }
-            let now = states[d].pipeline.makespan();
-            if states[d].health.admit(now) {
+            if eligible(d) && health[d].admit(slots[d].pipeline.makespan()) {
                 return Some((d, 0.0));
             }
         }
         // every eligible device refused: wait out the earliest cooldown
-        let mut best: Option<(usize, f64)> = None;
-        for (d, s) in states.iter().enumerate() {
-            if !s.alive || tried.contains(&d) {
-                continue;
-            }
-            if let Some(t) = s.health.cooldown_expiry() {
-                if best.is_none_or(|(_, bt)| t < bt) {
-                    best = Some((d, t));
-                }
-            }
-        }
-        let (d, t) = best?;
+        let (d, t) = (0..n)
+            .filter(|&d| eligible(d))
+            .filter_map(|d| health[d].cooldown_expiry().map(|t| (d, t)))
+            .fold(None, |best: Option<(usize, f64)>, (d, t)| match best {
+                Some((_, bt)) if bt <= t => best,
+                _ => Some((d, t)),
+            })?;
         // At t the breaker half-opens and must admit a probe; a refusal
         // here would mean the state machine deadlocked.
         assert!(
-            states[d].health.admit(t),
+            health[d].admit(t),
             "breaker refused its own cooldown expiry"
         );
         Some((d, t))
     }
 
-    /// Walk one device down the degradation ladder after an OOM.
-    /// Returns whether a deeper rung fit; a device that exhausts the
-    /// ladder is dead (its pending job re-enters the fleet queue).
-    fn degrade_device(
-        state: &mut DeviceState,
-        plan: &Plan,
-        work_group_size: usize,
-        degradation_steps: &mut usize,
-    ) -> bool {
-        while state.level < MAX_DEGRADATION_LEVEL {
-            state.level += 1;
-            *degradation_steps += 1;
-            idg_obs::add_degradation_steps(1);
-            state.device.free(state.reserved);
-            state.reserved = 0;
-            if let Ok((reserved, host_adder)) =
-                reserve_at_level(&mut state.device, plan, work_group_size, state.level)
-            {
-                state.reserved = reserved;
-                state.host_adder = host_adder;
-                let (_, nr_buffers) = level_shape(work_group_size, state.level);
-                state.pipeline.set_nr_buffers(nr_buffers);
-                return true;
-            }
-        }
-        state.device.free(state.reserved);
-        state.reserved = 0;
-        state.alive = false;
-        false
-    }
-
-    /// Split a group into the chunks the device's current rung can
-    /// stage at once (one chunk at full strength).
-    fn chunk_ranges(group_len: usize, w_eff: usize) -> Vec<Range<usize>> {
-        let mut out = Vec::new();
-        let mut lo = 0;
-        while lo < group_len {
-            let hi = (lo + w_eff).min(group_len);
-            out.push(lo..hi);
-            lo = hi;
-        }
-        out
-    }
-
-    /// Run a full gridding pass: visibilities → grid.
+    /// Run one pass (see [`Pass`]) across the fleet.
     ///
     /// Jobs the whole fleet failed are reported in
-    /// [`FleetRunReport::failed_jobs`]; their subgrids are absent from
-    /// the returned grid. The grid itself is **bit-identical** to a
-    /// fault-free single-device pass over the completed jobs, because
-    /// commits happen in global job order regardless of which device
-    /// computed what.
-    pub fn grid(
+    /// [`RunReport::failed_jobs`]; their output is absent from the
+    /// commit target, which is otherwise **bit-identical** to a
+    /// fault-free single-device pass over the completed jobs.
+    pub fn run(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-    ) -> Result<(Grid<f32>, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("gridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let host_adder_bw = 40e9;
-        let mut grid = Grid::<f32>::new(plan.grid_size());
-        let observing = idg_obs::is_active();
-        // computed (chunk range, subgrids) per job, committed in job
-        // order after dispatch so f32 accumulation order matches the
-        // sequential single-device reference
-        let mut pending: Vec<Option<PendingChunks>> = vec![None; nr_jobs];
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
+        pass: &mut Pass<'_>,
+    ) -> Result<RunReport, IdgError> {
+        if self.members.is_empty() {
+            return Err(IdgError::InvalidParameter(
+                "a fleet needs at least one device".into(),
+            ));
+        }
+        self.breaker.validate()?;
+        let mut engine = JobEngine::new(
+            data,
             plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = gridder_counts(group, n);
-                let in_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * (nr_chan * 32 + 12)) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, in_bytes);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
-                let (t_compute, t_out, t_add) = if st.host_adder {
-                    let t_out = transfer_time(&st.device, subgrid_bytes);
-                    (
-                        t_kernel + t_fft,
-                        t_out,
-                        2.0 * subgrid_bytes as f64 / host_adder_bw,
-                    )
-                } else {
-                    let t_add = adder_time(&st.device, group.len(), n);
-                    (t_kernel + t_fft + t_add, 0.0, t_add)
-                };
-                if observing {
-                    let mut breakdown = vec![("gridder", t_kernel), ("subgrid_fft", t_fft)];
-                    if !st.host_adder {
-                        breakdown.push(("adder", t_add));
-                    }
-                    st.compute_parts[job] = breakdown;
-                }
-
-                let mut computed: Vec<(Range<usize>, SubgridArray)> = Vec::new();
-                let device = &st.device;
-                let cache = &self.cache;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => {
-                            Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
-                        }
-                        JobOp::Compute => {
-                            computed.clear();
-                            for r in &chunks {
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                gridder_gpu(data, &group[r.clone()], &mut subgrids, device, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                                computed.push((r.clone(), subgrids));
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            let mut out = Vec::new();
-                            for (_, subgrids) in &computed {
-                                out.extend_from_slice(&staged_subgrid_bytes(subgrids));
-                            }
-                            Ok(out)
-                        }
-                        // committed later, in global job order
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_compute, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                if matches!(result, JobRun::Done { .. }) {
-                    pending[job] = Some(computed);
-                }
-                (result, group_counts, [t_kernel, t_fft, t_add, t_in, t_out])
-            },
-        )?;
-
-        // ordered merge: same add_subgrids sequence as one device
-        for (job, slot) in pending.iter_mut().enumerate() {
-            if let Some(chunks) = slot.take() {
-                for (r, subgrids) in &chunks {
-                    add_subgrids(&mut grid, &groups[job][r.clone()], subgrids, &self.cache)?;
-                }
-            }
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((grid, report))
-    }
-
-    /// Run a gridding pass across the fleet with *deferred* commits:
-    /// identical dispatch, health gating, and fault machinery to
-    /// [`FleetExecutor::grid`], but instead of merging subgrids into a
-    /// grid the computed `(plan.items range, subgrids)` pairs are
-    /// returned in global job order. The streaming proxy collects
-    /// these across chunk passes and commits everything with one
-    /// adder call in one-shot plan order, so the streamed grid stays
-    /// bit-identical whatever device finished what, when.
-    pub fn grid_deferred(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-    ) -> Result<(DeferredSubgrids, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("gridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let host_adder_bw = 40e9;
-        let observing = idg_obs::is_active();
-        let mut pending: Vec<Option<PendingChunks>> = vec![None; nr_jobs];
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
-            plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = gridder_counts(group, n);
-                let in_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * (nr_chan * 32 + 12)) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, in_bytes);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
-                let (t_compute, t_out, t_add) = if st.host_adder {
-                    let t_out = transfer_time(&st.device, subgrid_bytes);
-                    (
-                        t_kernel + t_fft,
-                        t_out,
-                        2.0 * subgrid_bytes as f64 / host_adder_bw,
-                    )
-                } else {
-                    let t_add = adder_time(&st.device, group.len(), n);
-                    (t_kernel + t_fft + t_add, 0.0, t_add)
-                };
-                if observing {
-                    let mut breakdown = vec![("gridder", t_kernel), ("subgrid_fft", t_fft)];
-                    if !st.host_adder {
-                        breakdown.push(("adder", t_add));
-                    }
-                    st.compute_parts[job] = breakdown;
-                }
-
-                let mut computed: Vec<(Range<usize>, SubgridArray)> = Vec::new();
-                let device = &st.device;
-                let cache = &self.cache;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => {
-                            Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
-                        }
-                        JobOp::Compute => {
-                            computed.clear();
-                            for r in &chunks {
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                gridder_gpu(data, &group[r.clone()], &mut subgrids, device, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                                computed.push((r.clone(), subgrids));
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            let mut out = Vec::new();
-                            for (_, subgrids) in &computed {
-                                out.extend_from_slice(&staged_subgrid_bytes(subgrids));
-                            }
-                            Ok(out)
-                        }
-                        // committed later, by the caller, in plan order
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_compute, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                if matches!(result, JobRun::Done { .. }) {
-                    pending[job] = Some(computed);
-                }
-                (result, group_counts, [t_kernel, t_fft, t_add, t_in, t_out])
-            },
-        )?;
-
-        // flatten to global `plan.items` ranges, in global job order
-        let mut out: Vec<(Range<usize>, SubgridArray)> = Vec::new();
-        for (job, slot) in pending.iter_mut().enumerate() {
-            let first = job * self.work_group_size;
-            if let Some(chunks) = slot.take() {
-                for (r, subgrids) in chunks {
-                    out.push((first + r.start..first + r.end, subgrids));
-                }
-            }
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((out, report))
-    }
-
-    /// Run a full degridding pass: grid → predicted visibilities.
-    ///
-    /// Visibility slots belonging to fleet-failed jobs are left zero.
-    /// Slots are disjoint per job, so no ordered merge is needed: a
-    /// re-dispatched job simply overwrites its slots with the same
-    /// deterministic values.
-    pub fn degrid(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        grid: &Grid<f32>,
-    ) -> Result<(Vec<Visibility<f32>>, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("degridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut vis_out = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
-        let observing = idg_obs::is_active();
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
-            plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = degridder_counts(group, n);
-                let uvw_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * 12) as u64)
-                    .sum::<u64>();
-                let out_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * nr_chan * 32) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, uvw_bytes);
-                let t_split = adder_time(&st.device, group.len(), n);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_out = transfer_time(&st.device, out_bytes);
-                if observing {
-                    st.compute_parts[job] = vec![
-                        ("splitter", t_split),
-                        ("subgrid_ifft", t_fft),
-                        ("degridder", t_kernel),
-                    ];
-                }
-
-                let device = &st.device;
-                let cache = &self.cache;
-                let vis_ref = &mut vis_out;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => Ok(staged_uvw_bytes(data, group)),
-                        JobOp::Compute => {
-                            for r in &chunks {
-                                let chunk = &group[r.clone()];
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                split_subgrids(grid, chunk, &mut subgrids, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                                degridder_gpu(data, chunk, &subgrids, vis_ref, device, cache)?;
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            Ok(staged_vis_bytes(vis_ref, nr_time, nr_chan, group))
-                        }
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_split + t_fft + t_kernel, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                (
-                    result,
-                    group_counts,
-                    [t_kernel, t_fft, t_split, t_in, t_out],
-                )
-            },
-        )?;
-
-        // zero the slots of jobs nobody completed (a faulted attempt
-        // may have written them before its chain died)
-        for failure in &report.failed_jobs {
-            for item in groups[failure.job] {
-                for dt in 0..item.nr_timesteps {
-                    let row = (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
-                    for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                        vis_out[row + c] = Visibility::zero();
-                    }
-                }
-            }
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((vis_out, report))
-    }
-
-    /// Streamed-degrid twin of [`FleetExecutor::grid_deferred`]: the
-    /// degrid dispatch loop, but the predicted visibilities stay in a
-    /// chunk-local buffer with the completed jobs' `plan.items` ranges
-    /// recorded in global job order for the caller's in-order commit.
-    ///
-    /// The degridder's values depend only on the plan and inputs, not
-    /// on which device ran the job, so health-gated re-dispatch keeps
-    /// the buffer bit-identical to a fault-free single-device pass.
-    pub fn split_deferred(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        grid: &Grid<f32>,
-    ) -> Result<(DeferredVis, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("degridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut vis_out = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
-        let observing = idg_obs::is_active();
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
-            plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = degridder_counts(group, n);
-                let uvw_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * 12) as u64)
-                    .sum::<u64>();
-                let out_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * nr_chan * 32) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, uvw_bytes);
-                let t_split = adder_time(&st.device, group.len(), n);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_out = transfer_time(&st.device, out_bytes);
-                if observing {
-                    st.compute_parts[job] = vec![
-                        ("splitter", t_split),
-                        ("subgrid_ifft", t_fft),
-                        ("degridder", t_kernel),
-                    ];
-                }
-
-                let device = &st.device;
-                let cache = &self.cache;
-                let vis_ref = &mut vis_out;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => Ok(staged_uvw_bytes(data, group)),
-                        JobOp::Compute => {
-                            for r in &chunks {
-                                let chunk = &group[r.clone()];
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                split_subgrids(grid, chunk, &mut subgrids, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                                degridder_gpu(data, chunk, &subgrids, vis_ref, device, cache)?;
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            Ok(staged_vis_bytes(vis_ref, nr_time, nr_chan, group))
-                        }
-                        // committed later, by the caller, in plan order
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_split + t_fft + t_kernel, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                (
-                    result,
-                    group_counts,
-                    [t_kernel, t_fft, t_split, t_in, t_out],
-                )
-            },
-        )?;
-
-        // zero the slots of jobs nobody completed (a faulted attempt
-        // may have written them before its chain died)
-        for failure in &report.failed_jobs {
-            for item in groups[failure.job] {
-                for dt in 0..item.nr_timesteps {
-                    let row = (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
-                    for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                        vis_out[row + c] = Visibility::zero();
-                    }
-                }
-            }
-        }
-        // completed jobs' item ranges, in global job order
-        // (`failed_jobs` is sealed in job order by `dispatch`)
-        let mut ranges: Vec<Range<usize>> = Vec::new();
-        for job in 0..nr_jobs {
-            if report.failed_jobs.iter().any(|f| f.job == job) {
-                continue;
-            }
-            let first = job * self.work_group_size;
-            ranges.push(first..first + group_lens[job]);
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((
-            DeferredVis {
-                ranges,
-                vis: vis_out,
-            },
-            report,
-        ))
-    }
-
-    /// An all-zero report for one pass.
-    fn report_skeleton(&self, pass: &'static str) -> FleetRunReport {
-        FleetRunReport {
             pass,
-            counts: OpCounts::default(),
-            kernel_seconds: 0.0,
-            fft_seconds: 0.0,
-            adder_seconds: 0.0,
-            htod_seconds: 0.0,
-            dtoh_seconds: 0.0,
-            makespan: 0.0,
-            device_energy_j: 0.0,
-            host_energy_j: 0.0,
-            nr_retries: 0,
-            backoff_seconds: 0.0,
-            redispatched_jobs: 0,
-            degradation_steps: 0,
-            breaker_trips: 0,
-            per_device: Vec::new(),
-            failed_jobs: Vec::new(),
+            self.work_group_size,
+            &self.cache,
+            self.retry,
+        );
+        // walk each device down the ladder until its reservation fits
+        // (a device that cannot fit even one buffer set starts dead)
+        let mut slots = Vec::with_capacity(self.members.len());
+        let mut health = Vec::with_capacity(self.members.len());
+        for member in &self.members {
+            let mut slot = DeviceSlot::new(member.device.clone(), member.faults.clone());
+            walk_ladder(&mut engine, &mut slot, 0);
+            slots.push(slot);
+            health.push(DeviceHealth::new(self.breaker)?);
         }
-    }
 
-    /// The health-gated dispatch loop shared by both passes.
-    ///
-    /// `execute` runs one job on one device and returns the retry-loop
-    /// result, the job's operation counts, and its modeled stage times
-    /// `[kernel, fft, adder, htod, dtoh]` (charged to the report only
-    /// on success; faulted-attempt engine time is charged via
-    /// [`RetryStats`] as in the single-device executor). The second
-    /// element of the `stats` pair is the `(first_attempt,
-    /// not_before)` resume point for [`run_job`].
-    #[allow(clippy::type_complexity)]
-    fn dispatch(
-        &self,
-        states: &mut [DeviceState],
-        plan: &Plan,
-        group_lens: &[usize],
-        report: &mut FleetRunReport,
-        mut execute: impl FnMut(
-            &mut DeviceState,
-            usize,
-            (&mut RetryStats, (u32, f64)),
-        ) -> (JobRun, OpCounts, [f64; 5]),
-    ) -> Result<(), IdgError> {
-        let nr_jobs = group_lens.len();
-        let nr_members = states.len();
+        let nr_jobs = engine.nr_jobs();
+        let nr_members = slots.len();
         // Each job may be offered to every device once, plus ladder
         // headroom; the cap is a deadlock backstop, not a tunable.
         let dispatch_cap = (2 * nr_members).max(4) as u32;
@@ -952,23 +222,18 @@ impl FleetExecutor {
         let mut last_error: Vec<Option<IdgError>> = vec![None; nr_jobs];
 
         while let Some(job) = queue.pop_front() {
-            let eligible = Self::choose_device(states, job, &tried[job]);
+            let eligible = Self::choose_device(&slots, &mut health, job, &tried[job]);
             let exhausted = dispatches[job] >= dispatch_cap;
             let Some((d, wait_until)) = eligible.filter(|_| !exhausted) else {
-                report.failed_jobs.push(JobFailure {
-                    job,
-                    first_item: job * self.work_group_size,
-                    nr_items: group_lens[job],
-                    error: last_error[job].clone().unwrap_or(IdgError::Internal(
-                        "no fleet device available for job".to_string(),
-                    )),
-                    attempts: attempts_total[job],
-                });
+                let error = last_error[job].take().unwrap_or(IdgError::Internal(
+                    "no fleet device available for job".to_string(),
+                ));
+                engine.fail(job, error, attempts_total[job])?;
                 continue;
             };
             dispatches[job] += 1;
             if d != job % nr_members || dispatches[job] > 1 {
-                report.redispatched_jobs += 1;
+                engine.report.redispatched_jobs += 1;
                 idg_obs::add_redispatched_jobs(1);
             }
 
@@ -976,44 +241,23 @@ impl FleetExecutor {
             // past the faulted attempt instead of re-drawing it.
             let mut resume = (0u32, wait_until);
             loop {
-                let mut stats = RetryStats::default();
-                let st = &mut states[d];
-                let (result, counts, times) = execute(st, job, (&mut stats, resume));
-                let now = st.pipeline.makespan();
-                st.nr_retries += stats.nr_retries;
-                report.nr_retries += stats.nr_retries;
-                report.backoff_seconds += stats.backoff_seconds;
-                report.htod_seconds += stats.htod_seconds;
-                report.kernel_seconds += stats.kernel_seconds;
-                report.dtoh_seconds += stats.dtoh_seconds;
-                match result {
+                let slot = &mut slots[d];
+                let run = engine.execute(slot, job, resume)?;
+                let now = slot.pipeline.makespan();
+                match run {
                     JobRun::Done { attempts } => {
                         attempts_total[job] += attempts - resume.0;
-                        st.jobs_completed += 1;
-                        st.health
-                            .record_outcome(JobOutcome::classify(attempts - 1, None), now);
-                        report.counts.add(&counts);
-                        report.kernel_seconds += times[0];
-                        report.fft_seconds += times[1];
-                        report.adder_seconds += times[2];
-                        report.htod_seconds += times[3];
-                        report.dtoh_seconds += times[4];
+                        health[d].record_outcome(JobOutcome::classify(attempts - 1, None), now);
                         break;
                     }
                     JobRun::Failed { error, attempts } => {
                         attempts_total[job] += attempts - resume.0;
-                        if error.is_degradable()
-                            && Self::degrade_device(
-                                st,
-                                plan,
-                                self.work_group_size,
-                                &mut report.degradation_steps,
-                            )
-                        {
+                        let next_rung = slot.level + 1;
+                        if error.is_degradable() && walk_ladder(&mut engine, slot, next_rung) {
                             resume = (attempts, resume.1);
                             continue;
                         }
-                        st.health.record_outcome(JobOutcome::Failed, now);
+                        health[d].record_outcome(JobOutcome::Failed, now);
                         last_error[job] = Some(error);
                         tried[job].push(d);
                         queue.push_back(job);
@@ -1022,43 +266,41 @@ impl FleetExecutor {
                 }
             }
         }
-        report.failed_jobs.sort_by_key(|f| f.job);
-        Ok(())
+        for (slot, h) in slots.iter_mut().zip(&health) {
+            slot.breaker_trips = h.trips();
+        }
+        engine.finish(slots)
     }
 
-    /// Fold per-device state into the report: makespans, energies,
-    /// breaker totals, span replay.
-    fn seal_report(&self, states: &mut [DeviceState], report: &mut FleetRunReport) {
-        idg_obs::add_retries(report.nr_retries as u64);
-        for (d, st) in states.iter_mut().enumerate() {
-            emit_modeled_spans(&st.pipeline.timeline, &st.compute_parts, 4 * d as u32);
-            let makespan = st.pipeline.makespan();
-            let energy = EnergyModel::new(st.device.arch.clone());
-            let busy = st.pipeline.compute_busy();
-            report.device_energy_j += energy.device_energy(busy, 1.0)
-                + energy.device_energy((makespan - busy).max(0.0), 0.0);
-            report.makespan = report.makespan.max(makespan);
-            report.breaker_trips += st.health.trips();
-            st.device.free(st.reserved);
-            st.reserved = 0;
-            report.per_device.push(DeviceReport {
-                nickname: st.device.arch.nickname,
-                jobs_completed: st.jobs_completed,
-                nr_retries: st.nr_retries,
-                breaker_trips: st.health.trips(),
-                degradation_level: st.level,
-                makespan,
-                alive: st.alive,
-            });
-        }
-        let host_arch = self.members[0].device.arch.clone();
-        report.host_energy_j = EnergyModel::new(host_arch).host_energy(report.makespan);
+    /// Run a full gridding pass across the fleet: visibilities → grid.
+    pub fn grid(
+        &self,
+        data: &KernelData<'_>,
+        plan: &Plan,
+    ) -> Result<(Grid<f32>, RunReport), IdgError> {
+        let mut grid = Grid::<f32>::new(plan.grid_size());
+        let report = self.run(data, plan, &mut Pass::Grid(&mut grid))?;
+        Ok((grid, report))
+    }
+
+    /// Run a full degridding pass across the fleet: grid → predicted
+    /// visibilities (fleet-failed jobs' slots left zero).
+    pub fn degrid(
+        &self,
+        data: &KernelData<'_>,
+        plan: &Plan,
+        grid: &Grid<f32>,
+    ) -> Result<(Vec<Visibility<f32>>, RunReport), IdgError> {
+        let mut out = Default::default();
+        let report = self.run(data, plan, &mut Pass::Degrid(grid, &mut out))?;
+        Ok((out.vis, report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DeferredVis;
     use crate::executor::GpuExecutor;
     use crate::fault::TargetedFault;
     use crate::fault::{FaultConfig, FaultKind};
@@ -1125,6 +367,40 @@ mod tests {
         }
     }
 
+    /// Run one pass shape through `run`, returning its output as raw
+    /// bits plus the committed item ranges.
+    fn pass_bits(
+        shape: &str,
+        model: &Grid<f32>,
+        run: &dyn Fn(&mut Pass<'_>) -> RunReport,
+    ) -> (Vec<u32>, Vec<std::ops::Range<usize>>, RunReport) {
+        let bits = |c: &[idg_types::Cf32]| -> Vec<u32> {
+            c.iter()
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect()
+        };
+        match shape {
+            "grid" => {
+                let mut grid = Grid::<f32>::new(model.size());
+                let report = run(&mut Pass::Grid(&mut grid));
+                (bits(grid.as_slice()), Vec::new(), report)
+            }
+            "grid_deferred" => {
+                let mut pending = Vec::new();
+                let report = run(&mut Pass::GridDeferred(&mut pending));
+                let out = pending.iter().flat_map(|(_, s)| bits(s.as_slice()));
+                let ranges = pending.iter().map(|(r, _)| r.clone()).collect();
+                (out.collect(), ranges, report)
+            }
+            _ => {
+                let mut out = DeferredVis::default();
+                let report = run(&mut Pass::Degrid(model, &mut out));
+                let vis = out.vis.iter().flat_map(|v| bits(&v.pols));
+                (vis.collect(), out.ranges, report)
+            }
+        }
+    }
+
     #[test]
     fn single_member_fleet_matches_the_single_device_executor() {
         let ds = dataset();
@@ -1148,6 +424,26 @@ mod tests {
             report.per_device[0].jobs_completed,
             plan.work_groups(4).count()
         );
+
+        // every entry point models the same pipeline on one device,
+        // whichever dispatch loop drives it (`degrid` is the degrid
+        // pass without its ranges, so it shares the last shape)
+        for shape in ["grid", "grid_deferred", "degrid"] {
+            let (gold_out, gold_ranges, g) =
+                pass_bits(shape, &gold, &|p| single.run(&data, &plan, p).unwrap());
+            let (out, ranges, f) =
+                pass_bits(shape, &gold, &|p| fleet.run(&data, &plan, p).unwrap());
+            assert!(out == gold_out, "{shape}: output bits differ");
+            assert_eq!(ranges, gold_ranges, "{shape}");
+            assert_eq!(f.counts, g.counts, "{shape}");
+            for (what, x, y) in [
+                ("makespan", f.makespan, g.makespan),
+                ("adder_seconds", f.adder_seconds, g.adder_seconds),
+                ("dtoh_seconds", f.dtoh_seconds, g.dtoh_seconds),
+            ] {
+                assert!((x - y).abs() < 1e-12, "{shape} {what}: {x} vs {y}");
+            }
+        }
     }
 
     #[test]
