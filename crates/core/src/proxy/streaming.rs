@@ -670,4 +670,75 @@ mod tests {
         // list scheduling packs the short chunks behind the long one
         assert!((stream_makespan(&[3.0, 1.0, 1.0, 1.0], 2) - 3.0).abs() < 1e-12);
     }
+
+    /// Observed one-shot and streamed gridding on a fresh proxy: each
+    /// pass's metrics JSON. Returning `Ok` means both passes passed
+    /// their exact self-validation against the analytic model.
+    fn observed_metrics(backend: Backend, ds: &Dataset) -> Result<[String; 2], IdgError> {
+        let proxy = Proxy::new(backend, ds.obs.clone())?;
+        let plan = proxy.plan(&ds.uvw)?;
+        let (_, _, one_shot) = proxy.grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)?;
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(16), 2, 3);
+        let (_, _, streamed) =
+            proxy.grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)?;
+        Ok([one_shot.metrics.to_json(), streamed.metrics.to_json()])
+    }
+
+    const OBSERVED_BACKENDS: [Backend; 2] = [Backend::CpuOptimized, Backend::GpuPascal];
+
+    #[test]
+    fn observed_passes_ignore_unobserved_passes_on_other_threads() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+        let ds = dataset();
+        for backend in OBSERVED_BACKENDS {
+            let solo = observed_metrics(backend, &ds).unwrap();
+            let stop = AtomicBool::new(false);
+            let background_passes = AtomicUsize::new(0);
+            let observed = std::thread::scope(|scope| {
+                let background = scope.spawn(|| {
+                    let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+                    let plan = proxy.plan(&ds.uvw).unwrap();
+                    while !stop.load(Ordering::Relaxed) {
+                        let (grid, _) = proxy
+                            .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                            .unwrap();
+                        proxy.degrid(&plan, &grid, &ds.uvw, &ds.aterms).unwrap();
+                        background_passes.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                while background_passes.load(Ordering::Relaxed) == 0 && !background.is_finished() {
+                    std::thread::yield_now();
+                }
+                let observed = (0..3)
+                    .map(|_| observed_metrics(backend, &ds))
+                    .collect::<Result<Vec<_>, _>>();
+                stop.store(true, Ordering::Relaxed);
+                observed
+            });
+            for metrics in observed.unwrap() {
+                assert_eq!(metrics, solo, "{backend:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_observed_passes_each_see_only_their_own_work() {
+        let ds = dataset();
+        for backend in OBSERVED_BACKENDS {
+            let solo = observed_metrics(backend, &ds).unwrap();
+            let start = std::sync::Barrier::new(2);
+            let run = || {
+                start.wait();
+                observed_metrics(backend, &ds)
+            };
+            let runs = std::thread::scope(|scope| {
+                let other = scope.spawn(run);
+                [run(), other.join().unwrap()]
+            });
+            for metrics in runs {
+                assert_eq!(metrics.unwrap(), solo, "{backend:?}");
+            }
+        }
+    }
 }

@@ -102,11 +102,11 @@ pub fn gridder_gpu(
         .par_iter()
         .zip(subgrids.as_mut_slice().par_chunks_exact_mut(4 * n2))
         .for_each_init(
-            || GridderScratch {
+            idg_obs::entering(|| GridderScratch {
                 regs: Vec::new(),
                 offs: Vec::new(),
                 shared: Vec::new(),
-            },
+            }),
             |scr, (item, subgrid)| {
                 let (u0, v0, w0) = geom.subgrid_center_uvw(item);
                 let base = item.baseline_index * nr_time + item.time_offset;
@@ -254,11 +254,11 @@ pub fn degridder_gpu(
         .par_iter()
         .enumerate()
         .map_init(
-            || DegridderScratch {
+            idg_obs::entering(|| DegridderScratch {
                 regs: Vec::new(),
                 sh_pix: Vec::new(),
                 sh_geo: Vec::new(),
-            },
+            }),
             |scr, (s_idx, item)| {
                 let subgrid = subgrids.subgrid(s_idx);
                 let (u0, v0, w0) = geom.subgrid_center_uvw(item);

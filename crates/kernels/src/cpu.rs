@@ -219,10 +219,12 @@ pub fn gridder_cpu(
         .map(|f| f32::from_f64(KernelGeometry::phase_scale(*f)))
         .collect();
 
+    // each worker records into this pass's observability session
+    let scratch = idg_obs::entering(Scratch::new);
     items
         .par_iter()
         .zip(subgrids.as_mut_slice().par_chunks_exact_mut(4 * n2))
-        .for_each_init(Scratch::new, |scr, (item, subgrid)| {
+        .for_each_init(scratch, |scr, (item, subgrid)| {
             let item_chan = item.nr_channels;
             let tc = item.nr_timesteps * item_chan;
             scr.resize(tc.max(n2));
@@ -417,11 +419,12 @@ pub fn degridder_cpu(
         cursor = dst + items[idx].nr_channels;
     }
 
+    let scratch = idg_obs::entering(Scratch::new);
     items
         .par_iter()
         .enumerate()
         .zip(bundles.into_par_iter())
-        .for_each_init(Scratch::new, |scr, ((s_idx, item), mut rows)| {
+        .for_each_init(scratch, |scr, ((s_idx, item), mut rows)| {
             scr.resize(n2);
             let subgrid = subgrids.subgrid(s_idx);
             let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);

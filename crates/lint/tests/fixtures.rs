@@ -255,10 +255,14 @@ fn workspace_root() -> std::path::PathBuf {
         .expect("workspace root above crates/lint")
 }
 
-/// The committed policy plus the committed lock-order hierarchy — what
-/// `run_check` lints the live workspace with.
+/// The committed policy plus the fixture lock-order hierarchy, parsed
+/// the way `run_check` parses `tools/lock-order.toml`.
 fn full_cfg() -> Config {
-    idg_lint::workspace_config(&workspace_root()).expect("lock order parses")
+    let mut cfg = Config::workspace();
+    cfg.lock_classes =
+        idg_lint::lockorder::parse_lock_order(include_str!("fixtures/l6_order.toml"))
+            .expect("lock order parses");
+    cfg
 }
 
 #[test]

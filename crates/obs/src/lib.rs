@@ -3,14 +3,15 @@
 //!
 //! The layer is **zero-cost when disabled** (the default). Every
 //! recording site in `kernels`, `plan`, `core` and `gpusim` first
-//! checks a single relaxed atomic flag and returns immediately when no
-//! [`Session`] is active, so uninstrumented runs never take a lock,
-//! never allocate, and — critically — never perturb the numerical
-//! pipeline: observability only *reads* loop trip counts, it does not
-//! change execution order.
+//! looks up the calling thread's current session and returns
+//! immediately when there is none, so uninstrumented runs never take a
+//! lock, never allocate, and — critically — never perturb the
+//! numerical pipeline: observability only *reads* loop trip counts, it
+//! does not change execution order.
 //!
-//! A [`Session`] activates a process-global collector. While it is
-//! alive, the instrumented call sites accumulate:
+//! A [`Session`] becomes the current recorder of the thread that
+//! begins it. While it is alive, the instrumented call sites on that
+//! thread accumulate:
 //!
 //! - **spans** — hierarchical intervals (`pass` → `job` → `stage` →
 //!   `kernel`) carrying either wall-clock time (CPU back-ends, measured
@@ -22,15 +23,18 @@
 //!   lengths*, so they measure what the kernels really did rather than
 //!   what an analytic model predicts they should have done.
 //!
+//! A session is scoped to the threads that do its pass: the thread
+//! that began it, plus every worker started through [`entering`],
+//! which carries the spawning thread's session onto the worker. Any
+//! other thread records into its own session, or nowhere, so passes
+//! observed concurrently on different threads never mix their counts,
+//! and unobserved passes never leak into an observed one.
+//!
 //! [`Session::finish`] returns a [`Trace`] bundling the spans with a
 //! flat [`MetricsSnapshot`]. The snapshot is what `idg` cross-validates
 //! against the analytic `perf::ops` model (exact integer equality on
 //! fault-free runs), and [`chrome::chrome_trace_json`] exports the
 //! spans as a Chrome `trace_event` timeline for `chrome://tracing`.
-//!
-//! Only one session can be active per process; concurrent
-//! [`Session::begin`] calls (e.g. parallel instrumented tests)
-//! serialize on an internal gate mutex.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -43,17 +47,26 @@ pub use chrome::{chrome_trace_json, normalized_events, validate_json};
 pub use counters::{KernelCounters, KernelStage, MetricsSnapshot};
 pub use span::{Clock, Span};
 
-use idg_sync::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicBool, Ordering};
+use idg_sync::Mutex;
+use std::cell::RefCell;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// Everything one active session accumulates.
+/// Everything one session accumulates.
 #[derive(Debug)]
-struct Collector {
-    pass: String,
+struct Recorder {
     start: Instant,
     spans: Vec<Span>,
     metrics: MetricsSnapshot,
+}
+
+/// A thread's handle on a session's recorder. Weak, so a session that
+/// is finished or dropped stops recording everywhere at once.
+type Handle = Weak<Mutex<Recorder>>;
+
+thread_local! {
+    /// The session the calling thread records into, if any.
+    static CURRENT: RefCell<Option<Handle>> = const { RefCell::new(None) };
 }
 
 /// A finished observability session: the spans recorded while it was
@@ -68,106 +81,90 @@ pub struct Trace {
     pub metrics: MetricsSnapshot,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
-static SESSION_GATE: Mutex<()> = Mutex::new(());
-
-/// Whether an observability session is currently active.
+/// Whether the calling thread is recording into a live session.
 ///
-/// This is the single check every recording site performs first; a
-/// relaxed atomic load, so disabled-mode overhead is one predictable
+/// This is the single check every recording site performs first: a
+/// thread-local lookup, so disabled-mode overhead is one predictable
 /// branch.
 #[inline]
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    CURRENT.with(|c| c.borrow().as_ref().is_some_and(|h| h.strong_count() > 0))
 }
 
-fn lock_collector() -> MutexGuard<'static, Option<Collector>> {
-    COLLECTOR.lock()
+/// The calling thread's live recorder, if any.
+fn current() -> Option<Arc<Mutex<Recorder>>> {
+    CURRENT.with(|c| c.borrow().as_ref().and_then(Weak::upgrade))
+}
+
+fn enter(handle: Option<Handle>) {
+    CURRENT.with(|c| *c.borrow_mut() = handle);
+}
+
+/// Wrap `f` so that, on whichever thread it runs, it records into the
+/// session current on the thread calling `entering` (or records
+/// nothing, when that thread has none).
+///
+/// This is how a pass's work keeps its session when it leaves the
+/// thread: wrap the per-worker `init` of a parallel iterator, or the
+/// body of a spawned worker, at the point where the work is handed
+/// off.
+pub fn entering<T>(f: impl Fn() -> T + Send + Sync) -> impl Fn() -> T + Send + Sync {
+    let handle = CURRENT.with(|c| c.borrow().clone());
+    move || {
+        enter(handle.clone());
+        f()
+    }
 }
 
 /// An active observability session.
 ///
-/// Holds the process-wide session gate for its lifetime, so two
-/// sessions never interleave their counters. Dropping the session
-/// without calling [`Session::finish`] deactivates recording and
-/// discards the collected data.
+/// Finishing or dropping the session ends recording on every thread
+/// that entered it; a dropped session's data is discarded.
 pub struct Session {
-    _gate: MutexGuard<'static, ()>,
+    recorder: Arc<Mutex<Recorder>>,
 }
 
 impl Session {
-    /// Activate recording under the given pass label.
-    ///
-    /// Blocks until any other active session finishes.
+    /// Make a new session, labelled `pass`, the calling thread's
+    /// current recorder (replacing any session it already had).
     pub fn begin(pass: &str) -> Session {
-        // Lock order (tools/lock-order.toml): session gate strictly
-        // before collector.
-        let gate = SESSION_GATE.lock();
-        *lock_collector() = Some(Collector {
-            pass: pass.to_string(),
+        let recorder = Arc::new(Mutex::new(Recorder {
             start: Instant::now(),
             spans: Vec::new(),
             metrics: MetricsSnapshot::new(pass),
-        });
-        ACTIVE.store(true, Ordering::SeqCst);
-        Session { _gate: gate }
+        }));
+        enter(Some(Arc::downgrade(&recorder)));
+        Session { recorder }
     }
 
-    /// Deactivate recording and return everything that was collected.
+    /// Stop recording and return everything that was collected.
     ///
     /// A closing `pass`-category wall span covering the whole session
     /// is appended before the trace is sealed.
     pub fn finish(self) -> Trace {
-        ACTIVE.store(false, Ordering::SeqCst);
-        let collector = lock_collector().take();
-        match collector {
-            Some(c) => {
-                let mut spans = c.spans;
-                spans.push(Span {
-                    name: c.pass.clone(),
-                    cat: "pass".to_string(),
-                    job: None,
-                    lane: 0,
-                    clock: Clock::Wall,
-                    start_us: 0,
-                    dur_us: c.start.elapsed().as_micros() as u64,
-                });
-                Trace {
-                    pass: c.pass,
-                    spans,
-                    metrics: c.metrics,
-                }
-            }
-            // Unreachable in practice (the gate guarantees exclusivity)
-            // but degrade gracefully rather than panic.
-            None => Trace {
-                pass: String::new(),
-                spans: Vec::new(),
-                metrics: MetricsSnapshot::new(""),
-            },
+        let mut r = self.recorder.lock();
+        let metrics = std::mem::take(&mut r.metrics);
+        let mut spans = std::mem::take(&mut r.spans);
+        spans.push(Span {
+            name: metrics.pass.clone(),
+            cat: "pass".to_string(),
+            job: None,
+            lane: 0,
+            clock: Clock::Wall,
+            start_us: 0,
+            dur_us: r.start.elapsed().as_micros() as u64,
+        });
+        Trace {
+            pass: metrics.pass.clone(),
+            spans,
+            metrics,
         }
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        // `finish` consumes self before Drop runs only via ManuallyDrop
-        // semantics of move; a plain drop (early return / error path)
-        // lands here and must deactivate recording.
-        if is_active() {
-            ACTIVE.store(false, Ordering::SeqCst);
-            *lock_collector() = None;
-        }
-    }
-}
-
-fn with_collector(f: impl FnOnce(&mut Collector)) {
-    if !is_active() {
-        return;
-    }
-    if let Some(c) = lock_collector().as_mut() {
-        f(c);
+fn with_recorder(f: impl FnOnce(&mut Recorder)) {
+    if let Some(rec) = current() {
+        f(&mut rec.lock());
     }
 }
 
@@ -176,93 +173,93 @@ fn with_collector(f: impl FnOnce(&mut Collector)) {
 /// disabled. u64 addition is commutative, so concurrent flushes from
 /// rayon workers produce order-independent totals.
 pub fn add_kernel(stage: KernelStage, tally: &KernelCounters) {
-    with_collector(|c| c.metrics.kernel_mut(stage).add(tally));
+    with_recorder(|c| c.metrics.kernel_mut(stage).add(tally));
 }
 
 /// Record `n` subgrids pushed through the forward subgrid FFT.
 pub fn add_subgrids_fft(n: u64) {
-    with_collector(|c| c.metrics.subgrids_fft += n);
+    with_recorder(|c| c.metrics.subgrids_fft += n);
 }
 
 /// Record `n` subgrids pushed through the inverse subgrid FFT.
 pub fn add_subgrids_ifft(n: u64) {
-    with_collector(|c| c.metrics.subgrids_ifft += n);
+    with_recorder(|c| c.metrics.subgrids_ifft += n);
 }
 
 /// Record `n` subgrids added onto the master grid.
 pub fn add_subgrids_added(n: u64) {
-    with_collector(|c| c.metrics.subgrids_added += n);
+    with_recorder(|c| c.metrics.subgrids_added += n);
 }
 
 /// Record `n` subgrids extracted from the master grid by the splitter.
 pub fn add_subgrids_split(n: u64) {
-    with_collector(|c| c.metrics.subgrids_split += n);
+    with_recorder(|c| c.metrics.subgrids_split += n);
 }
 
 /// Record `n` work items emitted by the planner.
 pub fn add_planned_items(n: u64) {
-    with_collector(|c| c.metrics.planned_items += n);
+    with_recorder(|c| c.metrics.planned_items += n);
 }
 
 /// Record `n` visibilities the planner skipped (outside the grid).
 pub fn add_skipped_visibilities(n: u64) {
-    with_collector(|c| c.metrics.skipped_visibilities += n);
+    with_recorder(|c| c.metrics.skipped_visibilities += n);
 }
 
 /// Record `n` retried device operations.
 pub fn add_retries(n: u64) {
-    with_collector(|c| c.metrics.nr_retries += n);
+    with_recorder(|c| c.metrics.nr_retries += n);
 }
 
 /// Record `n` jobs that fell back to the CPU reference path.
 pub fn add_fallback_jobs(n: u64) {
-    with_collector(|c| c.metrics.fallback_jobs += n);
+    with_recorder(|c| c.metrics.fallback_jobs += n);
 }
 
 /// Record `n` kernel-cache lookups served from an existing table.
 pub fn add_cache_hits(n: u64) {
-    with_collector(|c| c.metrics.cache_hits += n);
+    with_recorder(|c| c.metrics.cache_hits += n);
 }
 
 /// Record `n` kernel-cache lookups that had to build their table.
 pub fn add_cache_misses(n: u64) {
-    with_collector(|c| c.metrics.cache_misses += n);
+    with_recorder(|c| c.metrics.cache_misses += n);
 }
 
 /// Record `n` job outcomes observed by per-device health trackers.
 pub fn add_health_outcomes(n: u64) {
-    with_collector(|c| c.metrics.health_outcomes += n);
+    with_recorder(|c| c.metrics.health_outcomes += n);
 }
 
 /// Record `n` circuit-breaker trips (`Closed → Open` transitions).
 pub fn add_breaker_trips(n: u64) {
-    with_collector(|c| c.metrics.breaker_trips += n);
+    with_recorder(|c| c.metrics.breaker_trips += n);
 }
 
 /// Record `n` degradation-ladder steps taken after device OOM.
 pub fn add_degradation_steps(n: u64) {
-    with_collector(|c| c.metrics.degradation_steps += n);
+    with_recorder(|c| c.metrics.degradation_steps += n);
 }
 
 /// Record `n` jobs re-dispatched from a tripped device to a peer.
 pub fn add_redispatched_jobs(n: u64) {
-    with_collector(|c| c.metrics.redispatched_jobs += n);
+    with_recorder(|c| c.metrics.redispatched_jobs += n);
 }
 
 /// Record `n` chunks admitted by the streaming scheduler.
 pub fn add_chunks_ingested(n: u64) {
-    with_collector(|c| c.metrics.chunks_ingested += n);
+    with_recorder(|c| c.metrics.chunks_ingested += n);
 }
 
 /// Record `n` window-constrained admissions (streaming backpressure).
 pub fn add_backpressure_waits(n: u64) {
-    with_collector(|c| c.metrics.backpressure_waits += n);
+    with_recorder(|c| c.metrics.backpressure_waits += n);
 }
 
 /// Record a scheduler run's peak in-flight pass count (max-merged:
 /// the snapshot keeps the largest peak seen in the session).
 pub fn record_passes_inflight(n: u64) {
-    with_collector(|c| c.metrics.passes_inflight_max = c.metrics.passes_inflight_max.max(n));
+    with_recorder(|c| c.metrics.passes_inflight_max = c.metrics.passes_inflight_max.max(n));
 }
 
 /// Record a span with *modeled* time (seconds on the device model's
@@ -273,7 +270,7 @@ pub fn record_passes_inflight(n: u64) {
 pub fn modeled_span(name: &str, cat: &str, job: Option<u32>, lane: u32, start_s: f64, dur_s: f64) {
     let start_us = (start_s * 1e6).round().max(0.0) as u64;
     let end_us = ((start_s + dur_s) * 1e6).round().max(0.0) as u64;
-    with_collector(|c| {
+    with_recorder(|c| {
         c.spans.push(Span {
             name: name.to_string(),
             cat: cat.to_string(),
@@ -286,18 +283,15 @@ pub fn modeled_span(name: &str, cat: &str, job: Option<u32>, lane: u32, start_s:
     });
 }
 
-/// Start a wall-clock span; the span is recorded when the returned
-/// guard is dropped. Returns a no-op guard when disabled.
+/// Start a wall-clock span; the span is recorded, when the returned
+/// guard is dropped, into the session that was current when it began.
+/// Returns a no-op guard when disabled.
 pub fn wall_span(name: &'static str, cat: &'static str, job: Option<u32>) -> WallSpanGuard {
     WallSpanGuard {
         name,
         cat,
         job,
-        begun: if is_active() {
-            Some(Instant::now())
-        } else {
-            None
-        },
+        begun: current().map(|rec| (Arc::downgrade(&rec), Instant::now())),
     }
 }
 
@@ -307,23 +301,25 @@ pub struct WallSpanGuard {
     name: &'static str,
     cat: &'static str,
     job: Option<u32>,
-    begun: Option<Instant>,
+    begun: Option<(Handle, Instant)>,
 }
 
 impl Drop for WallSpanGuard {
     fn drop(&mut self) {
-        let Some(begun) = self.begun else { return };
-        let (name, cat, job) = (self.name, self.cat, self.job);
-        with_collector(|c| {
-            c.spans.push(Span {
-                name: name.to_string(),
-                cat: cat.to_string(),
-                job,
-                lane: 0,
-                clock: Clock::Wall,
-                start_us: begun.duration_since(c.start).as_micros() as u64,
-                dur_us: begun.elapsed().as_micros() as u64,
-            });
+        let Some((rec, begun)) = self.begun.take() else {
+            return;
+        };
+        let Some(rec) = rec.upgrade() else { return };
+        let mut c = rec.lock();
+        let start_us = begun.duration_since(c.start).as_micros() as u64;
+        c.spans.push(Span {
+            name: self.name.to_string(),
+            cat: self.cat.to_string(),
+            job: self.job,
+            lane: 0,
+            clock: Clock::Wall,
+            start_us,
+            dur_us: begun.elapsed().as_micros() as u64,
         });
     }
 }
@@ -384,5 +380,87 @@ mod tests {
         assert!(!is_active());
         let t = Session::begin("next").finish();
         assert_eq!(t.pass, "next");
+    }
+
+    #[test]
+    fn sessions_on_two_threads_see_only_their_own_records() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (overlap, reached) = mpsc::channel();
+        idg_sync::thread::scope(|scope| {
+            let a = Session::begin("a");
+            add_retries(1);
+            let b = scope.spawn(move || {
+                let b = Session::begin("b");
+                add_retries(2);
+                drop(wall_span("b-stage", "stage", None));
+                let _ = overlap.send(());
+                b.finish()
+            });
+            // both sessions are open from here until `a` finishes
+            reached
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a second session begins while the first is open");
+            drop(wall_span("a-stage", "stage", None));
+            let ta = a.finish();
+            let tb = b.join().unwrap();
+            assert_eq!((ta.metrics.nr_retries, tb.metrics.nr_retries), (1, 2));
+            let names = |t: &Trace| t.spans.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
+            assert_eq!(names(&ta), ["a-stage", "a"]);
+            assert_eq!(names(&tb), ["b-stage", "b"]);
+        });
+    }
+
+    #[test]
+    fn a_thread_without_a_session_records_nothing() {
+        let s = Session::begin("observed");
+        idg_sync::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert!(!is_active());
+                add_retries(5);
+                add_kernel(
+                    KernelStage::Gridder,
+                    &KernelCounters {
+                        fmas: 17,
+                        ..KernelCounters::default()
+                    },
+                );
+                modeled_span("x", "stage", None, 0, 0.0, 1.0);
+                drop(wall_span("y", "stage", None));
+            });
+        });
+        let t = s.finish();
+        assert_eq!(t.metrics, MetricsSnapshot::new("observed"));
+        assert_eq!(t.spans.len(), 1);
+    }
+
+    #[test]
+    fn workers_entered_from_the_spawning_thread_record_into_its_session() {
+        let s = Session::begin("pass");
+        let entered = entering(|| add_retries(3));
+        idg_sync::thread::scope(|scope| {
+            scope.spawn(&entered);
+            scope.spawn(&entered);
+            // a plain worker does not inherit the session
+            scope.spawn(|| add_retries(100));
+        });
+        assert_eq!(s.finish().metrics.nr_retries, 6);
+    }
+
+    #[test]
+    fn wall_spans_record_into_the_session_they_began_in() {
+        let first = Session::begin("first");
+        let guard = wall_span("late", "stage", None);
+        let t1 = first.finish();
+        let second = Session::begin("second");
+        drop(guard);
+        let t2 = second.finish();
+        assert_eq!(t1.spans.len(), 1);
+        assert_eq!(
+            t2.spans.len(),
+            1,
+            "the span belongs to the finished session"
+        );
     }
 }

@@ -336,7 +336,8 @@ impl StreamScheduler {
 
         thread::scope(|scope| {
             for _ in 0..self.workers {
-                scope.spawn(|| loop {
+                // workers record into the producer's observability session
+                scope.spawn(idg_obs::entering(|| loop {
                     let job = {
                         let mut st = state.lock();
                         loop {
@@ -360,7 +361,7 @@ impl StreamScheduler {
                     let mut st = state.lock();
                     st.completed += 1;
                     cond_space.notify_all();
-                });
+                }));
             }
 
             // producer: bounded-window admission on the calling thread
