@@ -10,14 +10,20 @@
 //!
 //! Exit is non-zero when either pass regresses by more than the
 //! tolerance (`IDG_BENCH_TOLERANCE`, default 0.20 = 20%) against the
-//! baseline's `kernel-cache` row at the same scale. Scales with no
-//! committed baseline row only report (first runs on a new scale are
-//! not failures). `IDG_BENCH_BASELINE_DIR` overrides the baseline
-//! directory (the CI smoke points it at a runner-local warmup export so
-//! the guard compares like with like instead of against another
-//! machine's clock).
+//! baseline's `kernel-cache` row at the same scale. Every row records
+//! whether its build had compile-time FMA (`fma` column, 0/1): the
+//! guard compares only against a row built like itself, and exits
+//! non-zero when the baseline has rows at this scale but none with
+//! this build's `fma` value. Scales with no committed baseline row
+//! only report (first runs on a new scale are not failures).
+//! `IDG_BENCH_BASELINE_DIR` overrides the baseline directory (the CI
+//! smoke points it at a runner-local warmup export so the guard
+//! compares like with like instead of against another machine's
+//! clock).
 
-use idg_bench::{bench_json, bench_pass_row, bench_row_value, bench_scale, benchmark_dataset};
+use idg_bench::{
+    bench_json, bench_pass_row, bench_rows, bench_scale, benchmark_dataset, build_fma, row_value,
+};
 
 fn tolerance() -> f64 {
     std::env::var("IDG_BENCH_TOLERANCE")
@@ -42,16 +48,17 @@ fn main() {
     // `fleet` row documents the degraded-mode accounting (devices,
     // re-dispatches, ladder rungs, breaker trips) at this scale
     let fleet = idg_bench::fleet_chaos_run(&ds);
+    let fma = build_fma();
 
-    let mut failed = false;
+    let mut regressed = false;
+    let mut mismatched = false;
     for (pass, report, fleet_report) in [
         ("gridder", &run.gridding, &fleet.gridding),
         ("degridder", &run.degridding, &fleet.degridding),
     ] {
-        let rows = vec![
-            bench_pass_row("kernel-cache", scale, report),
-            idg_bench::fleet_bench_row(scale, fleet_report),
-        ];
+        let mut measured = bench_pass_row("kernel-cache", scale, report);
+        measured.values.push(("fma", fma));
+        let rows = vec![measured, idg_bench::fleet_bench_row(scale, fleet_report)];
         let json = bench_json(pass, &rows, false);
         idg_obs::validate_json(&json).expect("BENCH export is valid JSON");
         let out = idg_bench::write_results(&format!("BENCH_{pass}.json"), &json)
@@ -85,14 +92,30 @@ fn main() {
         };
         idg_obs::validate_json(&baseline)
             .unwrap_or_else(|e| panic!("baseline {} invalid: {e}", baseline_path.display()));
-        let Some(reference) = bench_row_value(&baseline, "kernel-cache", scale, "total_s_wall")
+        // only rows measured on a build with the same `fma` flag compare
+        let like_built = |label| {
+            bench_rows(&baseline, label, scale).find(|row| row_value(row, "fma") == Some(fma))
+        };
+        let Some(reference) =
+            like_built("kernel-cache").and_then(|row| row_value(row, "total_s_wall"))
         else {
-            println!("{pass:<10} baseline has no kernel-cache row at scale {scale}; skipping");
+            let built: Vec<Option<f64>> = bench_rows(&baseline, "kernel-cache", scale)
+                .map(|row| row_value(row, "fma"))
+                .collect();
+            if built.is_empty() {
+                println!("{pass:<10} baseline has no kernel-cache row at scale {scale}; skipping");
+            } else {
+                mismatched = true;
+                println!(
+                    "{pass:<10} baseline kernel-cache rows at scale {scale} have fma={built:?}, \
+                     this build has fma={fma}; refusing to compare across build flags"
+                );
+            }
             continue;
         };
         let ratio = report.total_seconds / reference;
         let verdict = if ratio > 1.0 + tol {
-            failed = true;
+            regressed = true;
             "REGRESSION"
         } else {
             "ok"
@@ -102,7 +125,7 @@ fn main() {
             tol * 100.0
         );
         // the committed seed row documents what the kernel cache bought
-        if let Some(seed) = bench_row_value(&baseline, "seed", scale, "total_s_wall") {
+        if let Some(seed) = like_built("seed").and_then(|row| row_value(row, "total_s_wall")) {
             println!(
                 "{pass:<10} seed_s={seed:.4} speedup_vs_seed={:.2}x",
                 seed / report.total_seconds
@@ -110,8 +133,13 @@ fn main() {
         }
     }
 
-    if failed {
+    if mismatched {
+        eprintln!("bench_guard: no baseline row built with this build's fma flag");
+    }
+    if regressed {
         eprintln!("bench_guard: wall-clock regression beyond tolerance");
+    }
+    if mismatched || regressed {
         std::process::exit(1);
     }
 }

@@ -624,19 +624,36 @@ pub fn bench_json(pass: &str, rows: &[FigRow], mask_wall_clock: bool) -> String 
 /// object per line). Returns the value of `column` in the first row
 /// whose label and `scale` column match.
 pub fn bench_row_value(json: &str, label: &str, scale: usize, column: &str) -> Option<f64> {
+    bench_rows(json, label, scale)
+        .next()
+        .and_then(|row| row_value(row, column))
+}
+
+/// Every row (one line each) of a BENCH_*.json document whose label and
+/// `scale` column match, in file order.
+pub fn bench_rows<'a>(json: &'a str, label: &str, scale: usize) -> impl Iterator<Item = &'a str> {
     let label_pat = format!("\"label\": \"{label}\"");
     let scale_pat = format!("\"scale\": {:?}", scale as f64);
+    json.lines()
+        .filter(move |line| line.contains(&label_pat) && line.contains(&scale_pat))
+}
+
+/// One named column of one BENCH row line (see [`bench_rows`]).
+pub fn row_value(row: &str, column: &str) -> Option<f64> {
     let col_pat = format!("\"{column}\": ");
-    for line in json.lines() {
-        if !(line.contains(&label_pat) && line.contains(&scale_pat)) {
-            continue;
-        }
-        let start = line.find(&col_pat)? + col_pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}'])?;
-        return rest[..end].trim().parse().ok();
-    }
-    None
+    let start = row.find(&col_pat)? + col_pat.len();
+    let rest = &row[start..];
+    let end = rest.find([',', '}'])?;
+    rest[..end].trim().parse().ok()
+}
+
+/// The `fma` column of this build's BENCH rows: 1.0 when it was compiled
+/// with FMA enabled (`-C target-feature=+fma`, or a `target-cpu` that
+/// has it), 0.0 for the plain tier-1 build. Wall-clock rows are only
+/// comparable between builds with the same flags, so `bench_guard`
+/// compares only against baseline rows with the same `fma` value.
+pub fn build_fma() -> f64 {
+    f64::from(u8::from(cfg!(target_feature = "fma")))
 }
 
 /// Render a horizontal ASCII bar chart (used for the "distribution"
@@ -816,6 +833,29 @@ mod tests {
             bench_row_value(&masked, "seed", 15, "visibilities"),
             Some(1000.0)
         );
+    }
+
+    #[test]
+    fn bench_rows_select_like_built_rows() {
+        // two kernel-cache rows at one scale, told apart by `fma`
+        let json = "{\"label\": \"kernel-cache\", \"scale\": 15.0, \"total_s_wall\": 0.5, \"fma\": 1.0}\n\
+                    {\"label\": \"kernel-cache\", \"scale\": 15.0, \"total_s_wall\": 0.25, \"fma\": 0.0}\n\
+                    {\"label\": \"kernel-cache\", \"scale\": 8.0, \"total_s_wall\": 2.0, \"fma\": 0.0}\n";
+        let flags: Vec<Option<f64>> = bench_rows(json, "kernel-cache", 15)
+            .map(|row| row_value(row, "fma"))
+            .collect();
+        assert_eq!(flags, [Some(1.0), Some(0.0)]);
+        let tier1 = bench_rows(json, "kernel-cache", 15)
+            .find(|row| row_value(row, "fma") == Some(0.0))
+            .and_then(|row| row_value(row, "total_s_wall"));
+        assert_eq!(tier1, Some(0.25));
+        // the first match is what bench_row_value reports
+        assert_eq!(
+            bench_row_value(json, "kernel-cache", 15, "total_s_wall"),
+            Some(0.5)
+        );
+        assert_eq!(bench_rows(json, "seed", 15).count(), 0);
+        assert_eq!(row_value(json.lines().next().unwrap(), "fmas"), None);
     }
 
     #[test]

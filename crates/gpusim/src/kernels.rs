@@ -166,9 +166,8 @@ pub fn gridder_gpu(
                                 (planes.lf[i], planes.mf[i], planes.nf[i], scr.offs[i]);
                             let acc = &mut scr.regs[i];
                             for sv in shared.iter() {
-                                let phase_index =
-                                    sv.uvw.u.mul_add(l, sv.uvw.v.mul_add(m, sv.uvw.w * nt));
-                                let phase = sv.freq_scale.mul_add(phase_index, -off) + sv.phase_ref;
+                                let phase_index = sv.uvw.u * l + (sv.uvw.v * m + sv.uvw.w * nt);
+                                let phase = sv.freq_scale * phase_index - off + sv.phase_ref;
                                 let (s, c) = sincos(phase, Accuracy::Fast);
                                 let phasor = Cf32::new(c, s);
                                 for p in 0..4 {
@@ -322,9 +321,8 @@ pub fn degridder_gpu(
                             let acc = &mut scr.regs[k];
                             for slot in 0..(i1 - i0) {
                                 let (l, m, nt, off) = scr.sh_geo[slot];
-                                let phase_index =
-                                    uvw_m.u.mul_add(l, uvw_m.v.mul_add(m, uvw_m.w * nt));
-                                let phase = (-scale).mul_add(phase_index, off);
+                                let phase_index = uvw_m.u * l + (uvw_m.v * m + uvw_m.w * nt);
+                                let phase = off - scale * phase_index;
                                 let (s, cc) = sincos(phase, Accuracy::Fast);
                                 let phasor = Cf32::new(cc, s);
                                 for p in 0..4 {

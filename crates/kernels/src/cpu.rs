@@ -12,7 +12,9 @@
 //! 3. **Vectorized reductions** — the gridder reduces over channels
 //!    (Listing 1: 16 FMAs per iteration across 8 accumulators), the
 //!    degridder over pixels; both loops are written as straight-line
-//!    mul_adds over slices so LLVM emits packed FMA code.
+//!    multiply-adds over slices so LLVM emits packed vector code. They
+//!    are unfused (`a * b + c`), so the output bits do not depend on
+//!    whether the build has compile-time FMA (DESIGN.md §6).
 //! 4. **Thread-level parallelism** — work items are distributed over
 //!    cores with rayon (the OpenMP `parallel for` analogue). Gridder
 //!    threads own disjoint subgrids; degridder threads own disjoint
@@ -113,12 +115,13 @@ fn reduce_4pol_offset(
 }
 
 /// The channel-reduction of Listing 1, generalized to reduce over any
-/// contiguous index range: 16 FMAs per element across 8 accumulators.
+/// contiguous index range: 16 multiply-adds (the paper's FMAs) per
+/// element across 8 accumulators.
 ///
 /// Strict-FP reductions cannot be auto-vectorized (the compiler may not
 /// reassociate float adds), so the accumulators are split into `LANES`
 /// independent partial sums — each maps onto one SIMD lane and the loop
-/// compiles to packed FMAs, the effect of Listing 1\'s
+/// compiles to packed multiplies and adds, the effect of Listing 1\'s
 /// `#pragma omp simd reduction`.
 #[inline]
 fn reduce_4pol(
@@ -173,19 +176,19 @@ fn reduce_4pol_slices(
         {
             for lane in 0..LANES {
                 // pixel += vis * (cos + i*sin):
-                ar[lane] = vr_c[lane].mul_add(c_c[lane], ar[lane]);
-                ar[lane] = (-vi_c[lane]).mul_add(s_c[lane], ar[lane]);
-                ai[lane] = vr_c[lane].mul_add(s_c[lane], ai[lane]);
-                ai[lane] = vi_c[lane].mul_add(c_c[lane], ai[lane]);
+                ar[lane] += vr_c[lane] * c_c[lane];
+                ar[lane] -= vi_c[lane] * s_c[lane];
+                ai[lane] += vr_c[lane] * s_c[lane];
+                ai[lane] += vi_c[lane] * c_c[lane];
             }
         }
         let mut ar_sum: f32 = ar.iter().sum();
         let mut ai_sum: f32 = ai.iter().sum();
         for k in full..len {
-            ar_sum = vr[k].mul_add(c[k], ar_sum);
-            ar_sum = (-vi[k]).mul_add(s[k], ar_sum);
-            ai_sum = vr[k].mul_add(s[k], ai_sum);
-            ai_sum = vi[k].mul_add(c[k], ai_sum);
+            ar_sum += vr[k] * c[k];
+            ar_sum -= vi[k] * s[k];
+            ai_sum += vr[k] * s[k];
+            ai_sum += vi[k] * c[k];
         }
         acc[p] = (ar_sum, ai_sum);
     }
@@ -218,6 +221,9 @@ pub fn gridder_cpu(
         .iter()
         .map(|f| f32::from_f64(KernelGeometry::phase_scale(*f)))
         .collect();
+
+    // one scan of every Jones matrix per pass, not per work item
+    let identity_aterms = data.aterms.is_identity();
 
     // each worker records into this pass's observability session
     let scratch = idg_obs::entering(Scratch::new);
@@ -257,7 +263,6 @@ pub fn gridder_cpu(
             let uvw = &data.uvw[base..base + item.nr_timesteps];
             let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
             let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
-            let identity_aterms = data.aterms.is_identity();
             // both station planes are fetched even when identity
             tally.dram_bytes += (ap_plane.len() + aq_plane.len()) as u64 * BYTES_POL4;
 
@@ -288,23 +293,22 @@ pub fn gridder_cpu(
                     let (lf, mf, nf, phase_offset) =
                         (planes.lf[i], planes.mf[i], planes.nf[i], scr.d[i]);
                     for (bt, uvw_m) in uvw[t0..t1].iter().enumerate() {
-                        let phase_index = uvw_m.u.mul_add(lf, uvw_m.v.mul_add(mf, uvw_m.w * nf));
+                        let phase_index = uvw_m.u * lf + (uvw_m.v * mf + uvw_m.w * nf);
                         let row = &mut scr.phases[bt * item_chan..(bt + 1) * item_chan];
                         for (ci, ph) in row.iter_mut().enumerate() {
-                            *ph = scales[item.channel_offset + ci]
-                                .mul_add(phase_index, -phase_offset);
+                            *ph = scales[item.channel_offset + ci] * phase_index - phase_offset;
                         }
                     }
                     // one batched sincos call per (pixel, batch) — the
                     // SVML analogue
                     sincos_batch(&scr.phases[..len], &mut scr.sin, &mut scr.cos, accuracy);
                     tally.sincos_pairs += len as u64;
-                    tally.fmas += len as u64; // phase mul_add per element
+                    tally.fmas += len as u64; // phase multiply-add per element
 
                     // Listing 1: vectorized 4-pol reduction over the batch
                     let partial =
                         reduce_4pol_offset(&scr.sin, &scr.cos, &scr.re, &scr.im, off, len);
-                    tally.fmas += 16 * len as u64; // 4 pols × 4 mul_adds
+                    tally.fmas += 16 * len as u64; // 4 pols × 4 multiply-adds
                     tally.shared_bytes += len as u64 * (BYTES_POL4 + BYTES_UVW);
                     for p in 0..4 {
                         acc[p].0 += partial[p].0;
@@ -475,23 +479,21 @@ pub fn degridder_cpu(
                 tally.dram_bytes += BYTES_UVW;
                 // per-pixel meter-valued phase index (3 FMAs each)
                 for i in 0..n2 {
-                    scr.phases[i] = uvw_m.u.mul_add(
-                        planes.lf[i],
-                        uvw_m.v.mul_add(planes.mf[i], uvw_m.w * planes.nf[i]),
-                    );
+                    scr.phases[i] =
+                        uvw_m.u * planes.lf[i] + (uvw_m.v * planes.mf[i] + uvw_m.w * planes.nf[i]);
                 }
                 let out_row = &mut rows[dt];
                 for ci in 0..item_chan {
                     // degridding phase = −(scale·index − offset)
                     let scale = scales[item.channel_offset + ci];
                     for i in 0..n2 {
-                        scr.chan_phases[i] = (-scale).mul_add(scr.phases[i], scr.d[i]);
+                        scr.chan_phases[i] = scr.d[i] - scale * scr.phases[i];
                     }
                     sincos_batch(&scr.chan_phases[..n2], &mut scr.sin, &mut scr.cos, accuracy);
                     tally.sincos_pairs += n2 as u64;
-                    tally.fmas += n2 as u64; // phase mul_add per pixel
+                    tally.fmas += n2 as u64; // phase multiply-add per pixel
                     let acc = reduce_4pol(&scr.sin, &scr.cos, &scr.re, &scr.im, n2);
-                    // 4 pols × 4 mul_adds, then staged pixel + geometry +
+                    // 4 pols × 4 multiply-adds, then staged pixel + geometry +
                     // accumulator traffic
                     tally.fmas += 16 * n2 as u64;
                     tally.shared_bytes += n2 as u64 * (BYTES_POL4 + 16 + BYTES_UVW);

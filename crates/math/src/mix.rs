@@ -43,23 +43,24 @@ pub fn mix_kernel(rho: u32, iterations: u64, accuracy: Accuracy) -> MixResult {
         if phase > 1e4 {
             phase -= 1e4;
         }
-        // `rho` FMAs distributed round-robin over the accumulators.
+        // `rho` multiply-adds (the paper's FMAs, written unfused like
+        // every kernel: DESIGN.md §6) round-robin over the accumulators.
         let mut k = 0u32;
         while k + 8 <= rho {
             // unrolled by 8 (2 FMAs per accumulator pair)
-            acc[0][0] = s.mul_add(c, acc[0][0]);
-            acc[0][1] = c.mul_add(s, acc[0][1]);
-            acc[1][0] = s.mul_add(s, acc[1][0]);
-            acc[1][1] = c.mul_add(c, acc[1][1]);
-            acc[2][0] = s.mul_add(0.5, acc[2][0]);
-            acc[2][1] = c.mul_add(0.5, acc[2][1]);
-            acc[3][0] = s.mul_add(-0.25, acc[3][0]);
-            acc[3][1] = c.mul_add(-0.25, acc[3][1]);
+            acc[0][0] += s * c;
+            acc[0][1] += c * s;
+            acc[1][0] += s * s;
+            acc[1][1] += c * c;
+            acc[2][0] += s * 0.5;
+            acc[2][1] += c * 0.5;
+            acc[3][0] += s * -0.25;
+            acc[3][1] += c * -0.25;
             k += 8;
         }
         while k < rho {
             let i = (k % 4) as usize;
-            acc[i][0] = s.mul_add(c, acc[i][0]);
+            acc[i][0] += s * c;
             k += 1;
         }
         // Keep accumulators bounded so the loop cannot saturate to inf.

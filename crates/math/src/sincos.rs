@@ -8,9 +8,10 @@
 //!
 //! This module reimplements that software layer:
 //!
-//! * Argument reduction is performed in `f64` (exact to well beyond the
-//!   paper's stated ±10⁴ argument range), followed by single-precision
-//!   minimax polynomials on the reduced argument r ∈ [−π/4, π/4].
+//! * Argument reduction is performed in `f64` (exact for |x| < 2²⁰·π/2,
+//!   far beyond the paper's stated ±10⁴ argument range), followed by
+//!   single-precision minimax polynomials on the reduced argument
+//!   r ∈ [−π/4, π/4].
 //! * [`Accuracy::Medium`] uses degree-7/8 polynomials (≈1–4 ulp), the
 //!   analogue of SVML's "medium accuracy" (≤4 ulp) setting.
 //! * [`Accuracy::Fast`] uses degree-5/6 polynomials (≈2–8 ulp worst case
@@ -21,7 +22,11 @@
 //! The batch API writes separated sine/cosine planes, matching the
 //! structure-of-arrays phasor buffers of the optimized CPU kernels, and is
 //! written as a straight-line loop over slices so that LLVM auto-vectorizes
-//! it (verified: the hot loop compiles to packed FMA sequences).
+//! it. Multiply-adds are unfused (`a * b + c`) and rounding to the nearest
+//! quadrant uses a magic-constant shift rather than `round()`: on a build
+//! without compile-time FMA/SSE4.1 both `mul_add` and `round` are
+//! out-of-line library calls that block vectorization, and the unfused
+//! form gives the same bits on every build.
 
 use idg_types::Float;
 
@@ -40,11 +45,12 @@ pub enum Accuracy {
 }
 
 const FRAC_2_PI: f64 = std::f64::consts::FRAC_2_PI;
-/// High part of π/2 (the f64 nearest value).
-const PIO2_HI: f64 = std::f64::consts::FRAC_PI_2;
-/// Low part: π/2 − `PIO2_HI`, extending the constant to ~107 bits so the
-/// reduction stays exact to f32 level even for quadrant counts ≈ 10⁴.
-const PIO2_LO: f64 = 6.123_233_995_736_766e-17;
+/// First 33 bits of π/2 (fdlibm's `pio2_1`). Its low 20 mantissa bits are
+/// zero, so `k·PIO2_1` is exact without FMA for every |k| < 2²⁰.
+const PIO2_1: f64 = 1.570_796_326_734_125_6;
+/// π/2 − `PIO2_1` (fdlibm's `pio2_1t`): the two parts carry π/2 to ~86
+/// bits, far more than the f32 result needs for |k| < 2²⁰.
+const PIO2_1T: f64 = 6.077_100_506_506_192e-11;
 
 /// 1.5·2⁵²: adding it to a double of magnitude < 2⁵¹ pins the exponent,
 /// leaving the integer value (two's complement) in the low mantissa bits.
@@ -52,33 +58,42 @@ const QUADRANT_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// 1.5·2²³, the f32 analogue (valid for |k| < 2²²).
 const QUADRANT_MAGIC_F32: f32 = 12_582_912.0;
 
-/// Low two bits of the already-rounded quadrant count `k`, extracted via
-/// the magic-constant bit trick instead of a `k as i64` cast: the
-/// saturating float→int conversion lowers to a *scalar* `cvttsd2si` +
-/// compare/cmov chain per lane, which serializes the otherwise fully
-/// vectorized batch loops (~3× on the whole sincos). Value-identical to
-/// `k as i64 & 3` for every |k| < 2⁵¹ — far beyond the documented
-/// |x| < 10⁹ argument range (see `magic_quadrant_matches_integer_cast`).
+/// Round `y` to the nearest integer `k` (ties to even) by the
+/// magic-constant shift, returning `(k mod 4, k)`. Adding 1.5·2⁵² pins
+/// the exponent, so the sum's low mantissa bits hold `k` in two's
+/// complement: the quadrant is read from the bits instead of a
+/// `k as i64` cast (a *scalar* `cvttsd2si` + compare/cmov chain per lane
+/// that serializes the vectorized batch loops, ~3× on the whole sincos),
+/// and subtracting the constant again gives `k` without `round()` (a
+/// library call on builds without SSE4.1). Exact for every |y| < 2⁵¹
+/// (see `magic_rounding_matches_round_and_integer_cast`).
 #[inline(always)]
-fn quadrant_of(k: f64) -> u64 {
-    (k + QUADRANT_MAGIC).to_bits() & 3
+fn round_quadrant(y: f64) -> (u64, f64) {
+    let shifted = y + QUADRANT_MAGIC;
+    (shifted.to_bits() & 3, shifted - QUADRANT_MAGIC)
 }
 
-/// f32 variant of [`quadrant_of`] for the fast path (|k| < 2²²).
+/// f32 variant of [`round_quadrant`] for the fast path (|y| < 2²²).
 #[inline(always)]
-fn quadrant_of_f32(k: f32) -> u64 {
-    u64::from((k + QUADRANT_MAGIC_F32).to_bits() & 3)
+fn round_quadrant_f32(y: f32) -> (u64, f32) {
+    let shifted = y + QUADRANT_MAGIC_F32;
+    (
+        u64::from(shifted.to_bits() & 3),
+        shifted - QUADRANT_MAGIC_F32,
+    )
 }
 
 /// Reduce `x` to `(quadrant, r)` with `r ∈ [−π/4, π/4]` and
 /// `x = quadrant·π/2 + r`, using a two-part π/2 (Cody-Waite in f64).
+/// `k·PIO2_1` is exact and cancels against `x` without rounding, so the
+/// reduction needs no FMA to stay exact.
 #[inline(always)]
 fn reduce(x: f32) -> (u64, f32) {
     let xd = x.to_f64();
-    let k = (xd * FRAC_2_PI).round();
-    let r = k.mul_add(-PIO2_HI, xd);
-    let r = k.mul_add(-PIO2_LO, r);
-    (quadrant_of(k), f32::from_f64(r))
+    let (quadrant, k) = round_quadrant(xd * FRAC_2_PI);
+    let r = xd - k * PIO2_1;
+    let r = r - k * PIO2_1T;
+    (quadrant, f32::from_f64(r))
 }
 
 /// Cheap all-f32 Cody-Waite reduction used by the fast path. Splits π/2
@@ -90,11 +105,11 @@ fn reduce_fast(x: f32) -> (u64, f32) {
     const DP1: f32 = 1.570_312_5; // high bits of pi/2
     const DP2: f32 = 4.837_513e-4; // middle bits
     const DP3: f32 = 7.549_79e-8; // low bits
-    let k = (x * std::f32::consts::FRAC_2_PI).round();
-    let r = k.mul_add(-DP1, x);
-    let r = k.mul_add(-DP2, r);
-    let r = k.mul_add(-DP3, r);
-    (quadrant_of_f32(k), r)
+    let (quadrant, k) = round_quadrant_f32(x * std::f32::consts::FRAC_2_PI);
+    let r = x - k * DP1;
+    let r = r - k * DP2;
+    let r = r - k * DP3;
+    (quadrant, r)
 }
 
 /// Sine polynomial on the reduced argument (Cephes `sinf` minimax
@@ -105,8 +120,8 @@ fn poly_sin(r: f32) -> f32 {
     const S2: f32 = 8.332_161e-3;
     const S3: f32 = -1.951_529_6e-4;
     let r2 = r * r;
-    let p = S3.mul_add(r2, S2).mul_add(r2, S1);
-    (p * r2).mul_add(r, r)
+    let p = (S3 * r2 + S2) * r2 + S1;
+    p * r2 * r + r
 }
 
 /// Cosine polynomial on the reduced argument (Cephes `cosf` minimax
@@ -118,8 +133,8 @@ fn poly_cos(r: f32) -> f32 {
     const C3: f32 = -1.388_731_6e-3;
     const C4: f32 = 2.443_315_7e-5;
     let r2 = r * r;
-    let p = C4.mul_add(r2, C3).mul_add(r2, C2).mul_add(r2, C1);
-    p.mul_add(r2, 1.0)
+    let p = ((C4 * r2 + C3) * r2 + C2) * r2 + C1;
+    p * r2 + 1.0
 }
 
 /// Assemble `(sin x, cos x)` from the quadrant and the two polynomials.
@@ -144,9 +159,12 @@ fn combine(quadrant: u64, s: f32, c: f32) -> (f32, f32) {
 /// Evaluate `(sin x, cos x)` at the requested accuracy.
 ///
 /// Arguments are expected in the paper's benchmark range (|x| ≲ 10⁴ —
-/// phases are products of uv-lengths and image coordinates); reduction
-/// stays accurate far beyond that (≲ 2⁵²·π/2 in principle, practically
-/// |x| < 10⁹ before `f64` reduction error becomes visible at f32 level).
+/// phases are products of uv-lengths and image coordinates). The Medium
+/// reduction is exact for |x| < 2²⁰·π/2 ≈ 1.6·10⁶: there the quadrant
+/// count `k` has at most 20 bits, so `k·PIO2_1` is exact (see
+/// `pio2_split_is_exact_for_20_bit_quadrants`). Beyond that the product
+/// rounds and the error grows with |x|. The Fast path's f32 reduction
+/// loses accuracy far earlier (|x| ≈ 10⁵).
 #[inline]
 pub fn sincos(x: f32, accuracy: Accuracy) -> (f32, f32) {
     match accuracy {
@@ -321,20 +339,46 @@ mod tests {
     }
 
     #[test]
-    fn magic_quadrant_matches_integer_cast() {
-        // The magic-constant extraction must reproduce `(k as i64 & 3)`
-        // bit-for-bit for every quadrant count the reductions can produce.
+    fn magic_rounding_matches_round_and_integer_cast() {
+        // The magic-constant shift must round to nearest (ties to even)
+        // and reproduce `(k as i64 & 3)` bit-for-bit for every quadrant
+        // count the reductions can produce.
         for i in -200_000i64..200_000 {
-            let k = i as f64;
-            assert_eq!(quadrant_of(k), (k as i64 & 3) as u64, "f64 k={k}");
+            for frac in [0.0f64, 0.25, -0.375, 0.5, -0.5, 0.499_999] {
+                let y = i as f64 + frac;
+                let (q, k) = round_quadrant(y);
+                assert_eq!(k, y.round_ties_even(), "f64 y={y}");
+                assert_eq!(q, (k as i64 & 3) as u64, "f64 y={y}");
+            }
         }
         for big in [1e9f64, 1e12, 2.0f64.powi(50), -(2.0f64.powi(50))] {
-            assert_eq!(quadrant_of(big), (big as i64 & 3) as u64);
+            let (q, k) = round_quadrant(big);
+            assert_eq!(k, big);
+            assert_eq!(q, (big as i64 & 3) as u64);
         }
         for i in -70_000i64..70_000 {
-            let k = i as f32;
-            assert_eq!(quadrant_of_f32(k), (k as i64 & 3) as u64, "f32 k={k}");
+            for frac in [0.0f32, 0.25, -0.375, 0.5, -0.5] {
+                let y = i as f32 + frac;
+                let (q, k) = round_quadrant_f32(y);
+                assert_eq!(k, y.round_ties_even(), "f32 y={y}");
+                assert_eq!(q, (k as i64 & 3) as u64, "f32 y={y}");
+            }
         }
+    }
+
+    #[test]
+    fn pio2_split_is_exact_for_20_bit_quadrants() {
+        // PIO2_1 carries 33 significant bits: the low 20 of its 52-bit
+        // mantissa are zero, so k·PIO2_1 fits in 53 bits (exact) for
+        // every |k| < 2²⁰ and the Medium reduction needs no FMA.
+        assert_eq!(PIO2_1.to_bits() & ((1 << 20) - 1), 0);
+        let k = f64::from((1u32 << 20) - 1);
+        let product = k * PIO2_1;
+        assert_eq!(product / k, PIO2_1);
+        assert_eq!(product - (k - 1.0) * PIO2_1, PIO2_1);
+        // the tail completes π/2 to f64 precision
+        assert_eq!(PIO2_1 + PIO2_1T, std::f64::consts::FRAC_PI_2);
+        assert!(PIO2_1T.abs() < 1e-10);
     }
 
     #[test]

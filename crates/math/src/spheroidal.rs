@@ -47,12 +47,8 @@ pub fn spheroidal_eta(eta: f64) -> f64 {
     let (part, eta0) = if eta <= 0.75 { (0, 0.75) } else { (1, 1.0) };
     let d = eta * eta - eta0 * eta0;
 
-    let num = P[part][4]
-        .mul_add(d, P[part][3])
-        .mul_add(d, P[part][2])
-        .mul_add(d, P[part][1])
-        .mul_add(d, P[part][0]);
-    let den = Q[part][2].mul_add(d, Q[part][1]).mul_add(d, Q[part][0]);
+    let num = (((P[part][4] * d + P[part][3]) * d + P[part][2]) * d + P[part][1]) * d + P[part][0];
+    let den = (Q[part][2] * d + Q[part][1]) * d + Q[part][0];
     num / den
 }
 

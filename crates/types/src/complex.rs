@@ -1,11 +1,15 @@
 //! Complex arithmetic tuned for the IDG accumulation loops.
 //!
 //! The inner loops of Algorithms 1 and 2 of the paper are complex
-//! multiply-accumulates: `pixel += phasor * visibility`. On hardware with
-//! FMA units one complex MAC is exactly 4 real fused multiply-adds, which
-//! is how the paper counts operations. [`Complex::mul_acc`] expresses that
-//! shape directly so the compiler can emit FMAs, and so the analytic
-//! operation counters in `idg-perf` agree with the code.
+//! multiply-accumulates: `pixel += phasor * visibility`. One complex MAC
+//! is 4 real multiply-adds, which is how the paper counts operations
+//! (as FMAs). [`Complex::mul_acc`] expresses that shape directly, so the
+//! analytic operation counters in `idg-perf` agree with the code.
+//!
+//! Every multiply-add is written unfused, `a * b + c`. Rust never
+//! contracts that into an FMA, so the result bits are the same on every
+//! build and target CPU, and a build without compile-time FMA gets inline
+//! vector code instead of an out-of-line `fmaf` call (DESIGN.md §6).
 
 use crate::float::Float;
 
@@ -76,7 +80,7 @@ impl<T: Float> Complex<T> {
     /// Squared magnitude `re² + im²`.
     #[inline(always)]
     pub fn norm_sqr(self) -> T {
-        self.re.mul_add(self.re, self.im * self.im)
+        self.re * self.re + self.im * self.im
     }
 
     /// Magnitude.
@@ -94,25 +98,25 @@ impl<T: Float> Complex<T> {
         }
     }
 
-    /// Fused multiply-accumulate: `self += a * b`.
+    /// Multiply-accumulate: `self += a * b`.
     ///
-    /// Expands to exactly 4 real FMAs — the operation the paper's roofline
+    /// Expands to exactly 4 real multiply-adds — the operation the paper's roofline
     /// model counts 16 of per (visibility, pixel) pair (4 per polarization).
     #[inline(always)]
     pub fn mul_acc(&mut self, a: Self, b: Self) {
-        self.re = a.re.mul_add(b.re, self.re);
-        self.re = (-a.im).mul_add(b.im, self.re);
-        self.im = a.re.mul_add(b.im, self.im);
-        self.im = a.im.mul_add(b.re, self.im);
+        self.re += a.re * b.re;
+        self.re -= a.im * b.im;
+        self.im += a.re * b.im;
+        self.im += a.im * b.re;
     }
 
-    /// Fused conjugate multiply-accumulate: `self += conj(a) * b`.
+    /// Conjugate multiply-accumulate: `self += conj(a) * b`.
     #[inline(always)]
     pub fn conj_mul_acc(&mut self, a: Self, b: Self) {
-        self.re = a.re.mul_add(b.re, self.re);
-        self.re = a.im.mul_add(b.im, self.re);
-        self.im = a.re.mul_add(b.im, self.im);
-        self.im = (-a.im).mul_add(b.re, self.im);
+        self.re += a.re * b.re;
+        self.re += a.im * b.im;
+        self.im += a.re * b.im;
+        self.im -= a.im * b.re;
     }
 
     /// Multiplication by `i` (quarter-turn rotation), free of multiplies.
@@ -177,8 +181,8 @@ impl<T: Float> std::ops::Mul for Complex<T> {
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
         Self {
-            re: self.re.mul_add(rhs.re, -(self.im * rhs.im)),
-            im: self.re.mul_add(rhs.im, self.im * rhs.re),
+            re: self.re * rhs.re - self.im * rhs.im,
+            im: self.re * rhs.im + self.im * rhs.re,
         }
     }
 }

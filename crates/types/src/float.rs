@@ -7,9 +7,9 @@
 
 /// Operations required from a real scalar type by the IDG kernels.
 ///
-/// All methods mirror the inherent methods on `f32`/`f64`; `mul_add` is
-/// kept explicit because the paper's roofline analysis counts fused
-/// multiply-adds as the fundamental unit of compute.
+/// All methods mirror the inherent methods on `f32`/`f64`. There is no
+/// `mul_add`: multiply-adds are written `a * b + c` so the bits do not
+/// depend on whether the build has compile-time FMA (DESIGN.md §6).
 pub trait Float:
     Copy
     + Clone
@@ -58,8 +58,6 @@ pub trait Float:
     fn sin_cos(self) -> (Self, Self);
     /// Absolute value.
     fn abs(self) -> Self;
-    /// Fused multiply-add `self * a + b`.
-    fn mul_add(self, a: Self, b: Self) -> Self;
     /// Floor.
     fn floor(self) -> Self;
     /// Round to nearest.
@@ -117,10 +115,6 @@ macro_rules! impl_float {
                 self.abs()
             }
             #[inline(always)]
-            fn mul_add(self, a: Self, b: Self) -> Self {
-                self.mul_add(a, b)
-            }
-            #[inline(always)]
             fn floor(self) -> Self {
                 self.floor()
             }
@@ -174,15 +168,6 @@ mod tests {
     fn generic_arithmetic_matches_native() {
         assert_eq!(generic_sum::<f32>(10), 45.0);
         assert_eq!(generic_sum::<f64>(10), 45.0);
-    }
-
-    #[test]
-    fn mul_add_is_fused_semantics() {
-        // mul_add must match the mathematically exact result where
-        // separate mul+add would round twice.
-        let a: f64 = 1.0 + 2f64.powi(-52);
-        let exact = a.mul_add(a, -1.0);
-        assert!(exact > 0.0, "fused result keeps the low bits");
     }
 
     #[test]
